@@ -16,6 +16,7 @@
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/multi_run.hpp"
+#include "core/scenarios.hpp"
 
 namespace {
 

@@ -57,6 +57,7 @@
 #include "common/stream_stats.hpp"
 #include "common/table.hpp"
 #include "core/multi_run.hpp"
+#include "core/scenarios.hpp"
 #include "core/simulation.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/forwarding.hpp"

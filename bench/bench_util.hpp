@@ -1,7 +1,7 @@
-// Shared helpers for the benchmark harnesses. Every table/figure bench:
-//  * accepts "files=<n> seed=<n> out=<dir>" overrides on the command line,
-//  * prints the paper's reference numbers next to the measured ones,
-//  * writes its plot-ready series as CSV under <out>/ (default bench_out/).
+// Shared helpers for the wall-clock performance benches (bench_scale,
+// bench_multi_run). Both accept "files=<n> seed=<n> out=<dir>" overrides
+// on the command line and write CSV/JSON under <out>/ (default
+// bench_out/). Experiments are fairswap_run scenarios, not benches.
 #pragma once
 
 #include <cstdio>
@@ -12,8 +12,6 @@
 #include "common/log.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
-#include "core/scenarios.hpp"
-#include "harness/plan.hpp"
 
 namespace fairswap::bench {
 
@@ -40,20 +38,6 @@ struct BenchArgs {
 /// Prints a section header.
 inline void banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-/// Runs the paper's 2x2 grid: (k=4,20%), (k=4,100%), (k=20,20%),
-/// (k=20,100%) through the harness grid runner, which shares one built
-/// topology per k — mirroring the paper's reuse of one overlay across
-/// simulations.
-inline std::vector<core::ExperimentResult> run_paper_grid(
-    const BenchArgs& args) {
-  return harness::run_grid(core::paper_grid(args.files, args.seed),
-                           [&](const core::ExperimentConfig& cfg) {
-                             std::printf("running %s (%zu files)...\n",
-                                         cfg.label.c_str(), args.files);
-                             std::fflush(stdout);
-                           });
 }
 
 /// Convenience: result pointer view for report helpers.

@@ -4,10 +4,10 @@
 //   fairswap_run <scenario> key=value...   # run a registered scenario
 //   fairswap_run sweep k=4,20 originators=0.2,1.0 seeds=8 threads=4
 //
-// Scenario mode dispatches to the registry (the bench_fig4 etc. binaries
-// are thin aliases of this). Sweep mode builds a declarative
-// ExperimentPlan: every key goes through the parameter-binding table
-// (unknown keys and malformed values are hard errors, not silent
+// Scenario mode dispatches to the registry: the built-in harness
+// scenarios plus the bench-side ones in scenarios/. Sweep mode builds a
+// declarative ExperimentPlan: every key goes through the parameter-binding
+// table (unknown keys and malformed values are hard errors, not silent
 // defaults), comma-separated values become sweep axes (expanded in
 // alphabetical key order, last axis fastest), topology-equal runs share
 // one built overlay per seed, and results stream as a text table plus
@@ -29,6 +29,7 @@
 #include "harness/plan.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sink.hpp"
+#include "scenarios/bench_scenarios.hpp"
 #include "workload/trace.hpp"
 
 namespace {
@@ -65,7 +66,6 @@ void usage(std::ostream& out) {
 }
 
 void list(std::ostream& out) {
-  harness::register_builtin_scenarios();
   out << "registered scenarios:\n";
   for (const auto& s : harness::ScenarioRegistry::instance().list()) {
     out << "  " << s.name << " - " << s.description << "\n";
@@ -265,6 +265,7 @@ int run_sweep(const Config& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  fairswap::bench::register_bench_scenarios();
   const fairswap::Config args = fairswap::Config::from_args(argc, argv);
   if (args.positional().empty()) {
     usage(std::cerr);

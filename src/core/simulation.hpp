@@ -267,8 +267,8 @@ class Simulation {
     return *engine_;
   }
   /// Mutable demand-engine access for external drivers (trace recording
-  /// and the cadCAD adapter's policy function draw requests themselves —
-  /// through the engine, so demand processes are in what they record).
+  /// and per-file apply() loops draw requests themselves — through the
+  /// engine, so demand processes are in what they record).
   [[nodiscard]] workload::DemandEngine& demand_mut() noexcept {
     return *engine_;
   }

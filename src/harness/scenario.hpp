@@ -1,10 +1,10 @@
 // The scenario registry: named, self-describing experiment entry points
-// (fig4, table1, free_riders, variance, ...) runnable from one driver
-// binary (`fairswap_run <name> key=value...`) or from thin per-scenario
-// alias binaries. A scenario is a plain function over a ScenarioContext;
-// the registry owns name -> function dispatch and the shared CLI
-// conventions (files/seed/out/threads/verbose) every bench used to
-// re-implement by hand.
+// (fig4, fig5, fig6, table1, free_riders, variance, ...) runnable from the
+// one driver binary (`fairswap_run <name> key=value...`). A scenario is a
+// plain function over a ScenarioContext; the registry owns name ->
+// function dispatch and the shared CLI conventions
+// (files/seed/out/threads/verbose) every bench used to re-implement by
+// hand.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 
 namespace fairswap::harness {
 
@@ -64,11 +65,11 @@ class ScenarioRegistry {
   std::vector<Scenario> scenarios_;
 };
 
-/// Registers the migrated paper scenarios (fig4, table1, free_riders,
-/// variance) and the strategic-agents scenarios (equilibrium, invasion).
-/// Idempotent; called by the driver and the alias binaries (explicit
-/// registration instead of static initializers, which a static library
-/// would drop).
+/// Registers the paper scenarios (fig4, fig5, fig6, table1), the
+/// core-only ablations and extensions (ablation_policies, caching,
+/// free_riders, variance) and the agents, flow and heavy-traffic
+/// scenarios. Idempotent; called by the driver (explicit registration
+/// instead of static initializers, which a static library would drop).
 void register_builtin_scenarios();
 
 /// The agents half of register_builtin_scenarios (harness/
@@ -89,6 +90,11 @@ void register_heavy_scenarios();
 /// arguments.
 int run_scenario(const std::string& name, int argc, char** argv,
                  std::ostream& out);
+
+/// The paper's 2x2 grid (k in {4, 20} x originator share in {20%, 100%})
+/// through the shared-topology grid runner, printing the classic
+/// "running <label> (<n> files)..." progress line per cell.
+std::vector<core::ExperimentResult> run_paper_grid(ScenarioContext& ctx);
 
 /// printf-style formatting into a stream — keeps the migrated scenarios
 /// byte-identical to the printf-based mains they replaced.

@@ -55,7 +55,7 @@ struct NetworkConfig {
 
 /// The message-level simulator. Holds no payment logic — callers apply a
 /// PaymentPolicy to completed RetrievalResults if they want accounting
-/// (see bench_latency / net tests).
+/// (see the `latency` scenario / net tests).
 class Network {
  public:
   using Callback = std::function<void(const RetrievalResult&)>;

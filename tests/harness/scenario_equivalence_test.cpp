@@ -1,11 +1,14 @@
-// Output-equivalence pins for the migrated scenarios: each reference
-// below is the *old* bench_*.cpp main body (pre-harness, with its
-// per-bench topology handling and printf formatting) rendered into a
-// string, and the scenario must reproduce it byte for byte — stdout and
-// CSV both. If a harness change alters any scenario's output, these
-// tests say exactly which bytes moved.
+// Output-equivalence pins for the migrated scenarios. The first four
+// tests render the *old* bench_*.cpp main body (pre-harness, with its
+// per-bench topology handling and printf formatting) into a string, and
+// the scenario must reproduce it byte for byte — stdout and CSV both. If
+// a harness change alters any scenario's output, these tests say exactly
+// which bytes moved. The remaining migrated scenarios are pinned by hash
+// against the output of the standalone binaries they replaced
+// (MigratedScenariosMatchPinnedOutput).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +23,7 @@
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
 #include "harness/scenario.hpp"
+#include "scenarios/bench_scenarios.hpp"
 
 namespace fairswap::harness {
 namespace {
@@ -46,6 +50,7 @@ std::string run(const std::string& name, std::vector<std::string> args,
   std::vector<char*> argv;
   for (std::string& a : argv_store) argv.push_back(a.data());
   std::ostringstream out;
+  bench::register_bench_scenarios();
   const int code =
       run_scenario(name, static_cast<int>(argv.size()), argv.data(), out);
   EXPECT_EQ(code, expect_code) << out.str();
@@ -304,6 +309,80 @@ TEST(ScenarioEquivalence, VarianceMatchesOldMain) {
             read_file(dir_old + "/variance.csv"));
 }
 
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+struct PinnedCsv {
+  const char* file;
+  std::uint64_t fnv;
+};
+
+struct PinnedRun {
+  const char* scenario;
+  std::vector<std::string> args;
+  std::uint64_t stdout_fnv;  ///< with the out= directory replaced by "<out>"
+  std::vector<PinnedCsv> csvs;
+};
+
+// Hashes of the standalone bench_<scenario> binaries these scenarios
+// replaced, run with the same arguments at the default seed (the commands
+// are recorded in CHANGES.md).
+TEST(ScenarioEquivalence, MigratedScenariosMatchPinnedOutput) {
+  const std::vector<PinnedRun> pins = {
+      {"fig5", {"files=40"}, 0x0c5918df5ae651e9ULL,
+       {{"fig5_lorenz_f2.csv", 0x87d5cac405526f19ULL}}},
+      {"fig6", {"files=40"}, 0x622184bca84a8133ULL,
+       {{"fig6_lorenz_f1.csv", 0xb1451de4b06d9e2aULL}}},
+      {"ablation_bucket0", {"files=20"}, 0xfc16b933c30a23e7ULL,
+       {{"ablation_bucket0.csv", 0x74aff3247ab4e4cbULL}}},
+      {"ablation_k_sweep", {"files=20"}, 0x9885d25acc90bbb3ULL,
+       {{"ablation_k_sweep.csv", 0x108f4fe250c2b06eULL}}},
+      {"ablation_policies", {"files=20"}, 0x37746e5edd4d4874ULL,
+       {{"ablation_policies.csv", 0xdd82fa2918165f68ULL}}},
+      {"caching", {"files=20"}, 0xc7a4ba5394e1815eULL,
+       {{"caching.csv", 0x9febc459b2e5accbULL}}},
+      {"churn", {"requests=2000"}, 0x931e21c4d6207141ULL,
+       {{"churn.csv", 0x636e0db0acc172a1ULL}}},
+      {"latency", {"retrievals=2000"}, 0xee0299fe78e79f3aULL,
+       {{"latency.csv", 0x1b61e555b6b668a7ULL}}},
+      {"overhead", {"files=20"}, 0x09e03fe018374ab4ULL,
+       {{"overhead.csv", 0x060801ed141e3702ULL}}},
+      {"privacy", {"lookups=500"}, 0xed70f03580a7b4b3ULL,
+       {{"privacy.csv", 0x1705b3acebf16f05ULL}}},
+      {"storage_game", {"rounds=100"}, 0x45b279c90de21aa6ULL,
+       {{"storage_game.csv", 0x6621ae85f289ed1eULL}}},
+  };
+  for (const PinnedRun& pin : pins) {
+    SCOPED_TRACE(pin.scenario);
+    const std::string dir = temp_dir(std::string("pin_") + pin.scenario);
+    std::vector<std::string> args = pin.args;
+    args.push_back("out=" + dir);
+    std::string stdout_text = run(pin.scenario, args);
+    for (std::size_t at = stdout_text.find(dir); at != std::string::npos;
+         at = stdout_text.find(dir, at)) {
+      stdout_text.replace(at, dir.size(), "<out>");
+    }
+    EXPECT_EQ(fnv1a(stdout_text), pin.stdout_fnv) << stdout_text;
+
+    std::size_t written = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      (void)entry;
+      ++written;
+    }
+    EXPECT_EQ(written, pin.csvs.size());
+    for (const PinnedCsv& csv : pin.csvs) {
+      EXPECT_EQ(fnv1a(read_file(dir + "/" + csv.file)), csv.fnv) << csv.file;
+    }
+  }
+}
+
 TEST(Scenario, UnknownScenarioListsRegistrations) {
   const std::string out = run("no_such_scenario", {}, /*expect_code=*/2);
   EXPECT_NE(out.find("unknown scenario"), std::string::npos);
@@ -316,6 +395,11 @@ TEST(Scenario, UnknownArgumentIsRejected) {
   const std::string out = run("fig4", {"fils=10"}, /*expect_code=*/2);
   EXPECT_NE(out.find("unknown argument 'fils'"), std::string::npos) << out;
   EXPECT_NE(out.find("files"), std::string::npos);  // lists accepted keys
+  // ...nor may a near-miss of a scenario-specific key be dropped.
+  const std::string out2 = run("latency", {"retrieval=5"}, /*expect_code=*/2);
+  EXPECT_NE(out2.find("unknown argument 'retrieval'"), std::string::npos)
+      << out2;
+  EXPECT_NE(out2.find("retrievals"), std::string::npos);
 }
 
 TEST(Scenario, ScenarioSpecificKeysAreAcceptedAndValidated) {
@@ -336,6 +420,10 @@ TEST(Scenario, MalformedSharedArgumentIsSurfaced) {
   EXPECT_NE(out.find("error"), std::string::npos);
   EXPECT_NE(out.find("files"), std::string::npos);
   EXPECT_NE(out.find("abc"), std::string::npos);
+  const std::string out2 = run("latency", {"files=2k"}, /*expect_code=*/2);
+  EXPECT_NE(out2.find("error"), std::string::npos);
+  EXPECT_NE(out2.find("2k"), std::string::npos) << out2;
+  EXPECT_EQ(out2.find("==="), std::string::npos);  // nothing ran
 }
 
 }  // namespace
