@@ -7,16 +7,22 @@
 // the max-min fair rate vector by progressive filling (water-filling):
 // every unfrozen flow's rate rises uniformly until some link saturates or
 // some flow hits its own rate cap; flows bottlenecked there freeze at the
-// current water level and the rest keep rising. The implementation is
-// careful to be *insertion-order invariant at full floating-point
-// precision*: all per-link arithmetic runs over aggregate loads (integer
-// flow counts), links are visited in sorted id order, and bottlenecks are
-// detected by exact identity with the computed water-level increment
-// rather than epsilon comparisons — two networks holding the same flow
-// set allocate bit-identical rates regardless of the order the flows were
-// added (tests/net/flow_allocator_test.cpp).
+// current water level and the rest keep rising. Each call is a full
+// recompute over every active flow, driven by a link->flow incidence
+// that add_flow/remove_flow keep current: a round touches only the links
+// that still carry unfrozen flows, and freezes only the flows on links
+// that saturated in that round. The result is *insertion-order invariant
+// at full floating-point precision*: all per-link arithmetic runs over
+// aggregate loads (integer flow counts), the water-level increment is a
+// min (which no visiting order can change), and bottlenecks are detected
+// by exact identity with that increment rather than epsilon comparisons
+// — two networks holding the same flow set allocate bit-identical rates
+// regardless of the order the flows were added
+// (tests/net/flow_allocator_test.cpp, which also fuzzes this allocator
+// against the plain progressive-filling reference, bit for bit).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -86,15 +92,26 @@ class FairShareNetwork {
 
   [[nodiscard]] double rate(FlowId flow) const { return flows_[flow].rate; }
   [[nodiscard]] bool is_active(FlowId flow) const {
-    return flow < flows_.size() && flows_[flow].active;
+    return flow < flows_.size() &&
+           ((active_bits_[flow / 64] >> (flow % 64)) & 1u) != 0;
   }
   [[nodiscard]] const std::vector<LinkId>& flow_links(FlowId flow) const {
     return flows_[flow].links;
   }
-  /// Active flow slots in ascending order — the canonical iteration order
-  /// everything deterministic hangs off.
-  [[nodiscard]] const std::vector<FlowId>& active_flows() const noexcept {
-    return active_;
+  [[nodiscard]] std::size_t active_count() const noexcept {
+    return active_count_;
+  }
+  /// Calls `fn(FlowId)` for every active flow in ascending slot order —
+  /// the canonical iteration order everything deterministic hangs off.
+  /// `fn` must not add or remove flows.
+  template <typename Fn>
+  void for_each_active(Fn&& fn) const {
+    for (std::size_t w = 0; w < active_bits_.size(); ++w) {
+      for (std::uint64_t bits = active_bits_[w]; bits != 0;
+           bits &= bits - 1) {
+        fn(static_cast<FlowId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
   }
 
   [[nodiscard]] std::size_t link_count() const noexcept {
@@ -120,25 +137,43 @@ class FairShareNetwork {
     std::vector<LinkId> links;  ///< sorted, unique
     double cap{kUncapped};
     double rate{0.0};
-    bool active{false};
+  };
+
+  /// allocate()'s working state of a link that still carries load.
+  struct LiveLink {
+    double residual{0.0};
+    LinkId link{0};
+    std::uint32_t prev_load{0};  ///< load at the start of the last round
   };
 
   std::vector<double> capacity_;
   std::vector<Flow> flows_;
   std::vector<FlowId> free_slots_;
-  std::vector<FlowId> active_;  ///< sorted ascending
+  std::vector<std::uint64_t> active_bits_;  ///< bit f set iff f is active
+  std::size_t active_count_{0};
+  std::size_t capped_count_{0};  ///< active flows with a finite cap
 
-  // allocate() scratch, sized to link_count and reused across calls; only
-  // links crossed by active flows are touched (epoch-stamped).
-  std::vector<double> residual_;
-  std::vector<std::uint32_t> load_;
+  // Link -> flow incidence, kept up to date by add_flow / remove_flow:
+  // the active flows crossing each link (in no particular order) and the
+  // links crossed by at least one, with each one's position in that list.
+  std::vector<std::vector<FlowId>> link_flows_;
+  std::vector<LinkId> loaded_links_;
+  std::vector<std::uint32_t> loaded_pos_;
+
+  // Saturation state. A link takes part in an allocate() iff it is loaded
+  // then; the epoch stamp marks the links of the latest call.
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint8_t> saturated_;
   std::vector<std::uint8_t> ever_saturated_;
-  std::vector<LinkId> touched_;
-  std::vector<std::uint8_t> frozen_;  ///< parallel to active_
   std::uint32_t epoch_{0};
   std::size_t ever_saturated_count_{0};
+
+  // allocate() scratch, reused across calls.
+  std::vector<std::uint32_t> load_;      ///< unfrozen flows, by LinkId
+  std::vector<std::uint8_t> frozen_;     ///< by FlowId
+  std::vector<LiveLink> live_;           ///< links still carrying load
+  std::vector<LinkId> saturating_;       ///< this round's argmin links
+  std::vector<FlowId> capped_;           ///< unfrozen capped flows
 };
 
 }  // namespace fairswap::net

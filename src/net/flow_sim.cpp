@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/stats.hpp"
@@ -19,7 +20,7 @@ constexpr double kDoneEps = 1e-9;
 FlowSimulator::FlowSimulator(const overlay::CompiledRouter& router,
                              std::size_t node_count, FlowConfig config)
     : router_(&router), config_(config), node_count_(node_count) {
-  if (config_.link_capacity <= 0.0) {
+  if (!(config_.link_capacity > 0.0)) {  // NaN too
     throw std::invalid_argument("flow link_capacity must be positive");
   }
   const double up = config_.up_capacity > 0.0 ? config_.up_capacity
@@ -73,29 +74,50 @@ void FlowSimulator::start_chunk(const overlay::Route& route, bool is_upload) {
   Meta& m = meta_[flow];
   m.remaining = 1.0;
   m.rate = -1.0;  // forces the next reallocation to schedule it
-  m.start = queue_.now();
-  m.uid = next_uid_++;
-  m.sched = 0;
+  m.start = now_;
+  m.completion = 0;
+  m.timeout =
+      config_.timeout > 0 ? schedule(m.start + config_.timeout, flow) : 0;
   ++started_;
   dirty_ = true;
+}
 
-  if (config_.timeout > 0) {
-    const std::uint64_t uid = m.uid;
-    queue_.schedule_at(m.start + config_.timeout,
-                       [this, flow, uid](engine::SimTime now) {
-                         on_timeout_event(flow, uid, now);
-                       });
+std::uint32_t FlowSimulator::schedule(engine::SimTime when, FlowId flow) {
+  Meta& m = meta_[flow];
+  const std::uint32_t ticket = m.next_ticket;
+  // Skip 0 on wrap-around. An event could only be mistaken for a live one
+  // if its slot drew 2^32 - 1 further tickets while it was pending.
+  m.next_ticket =
+      ticket == std::numeric_limits<std::uint32_t>::max() ? 1 : ticket + 1;
+  events_.push(Event{std::max(when, now_), flow, ticket});
+  return ticket;
+}
+
+void FlowSimulator::run_until(engine::SimTime until) {
+  Event ev{};
+  while (events_.pop_due(until, ev)) {
+    now_ = ev.when;
+    if (counters_ != nullptr) {
+      counters_->bump(telemetry::Counter::kFlowEventsPopped);
+    }
+    // A stale event (its flow rescheduled or ended) matches neither.
+    const Meta& m = meta_[ev.flow];
+    if (ev.ticket == m.completion) {
+      on_completion_event(ev.flow);
+    } else if (ev.ticket == m.timeout) {
+      on_timeout_event(ev.flow);
+    }
   }
 }
 
 void FlowSimulator::progress_to(engine::SimTime t) {
   if (t <= progressed_) return;
   const double dt = static_cast<double>(t - progressed_);
-  for (const FlowId f : net_.active_flows()) {
+  net_.for_each_active([&](FlowId f) {
     Meta& m = meta_[f];
     m.remaining -= net_.rate(f) * dt;
     if (m.remaining < 0.0) m.remaining = 0.0;
-  }
+  });
   progressed_ = t;
 }
 
@@ -104,13 +126,8 @@ void FlowSimulator::schedule_completion(FlowId flow) {
   if (rate <= 0.0) return;  // starved; only a timeout can end it
   const double ticks = std::ceil(meta_[flow].remaining / rate);
   if (!(ticks < 1e18)) return;  // effectively starved
-  const engine::SimTime when =
-      queue_.now() + static_cast<engine::SimTime>(ticks);
-  const std::uint64_t uid = meta_[flow].uid;
-  const std::uint64_t sched = meta_[flow].sched;
-  queue_.schedule_at(when, [this, flow, uid, sched](engine::SimTime now) {
-    on_completion_event(flow, uid, sched, now);
-  });
+  meta_[flow].completion =
+      schedule(now_ + static_cast<engine::SimTime>(ticks), flow);
 }
 
 void FlowSimulator::reallocate_and_reschedule() {
@@ -121,13 +138,13 @@ void FlowSimulator::reallocate_and_reschedule() {
     counters_->bump(telemetry::Counter::kFlowSaturationEpisodes,
                     net_.ever_saturated_count() - saturated_before);
   }
-  for (const FlowId f : net_.active_flows()) {
+  net_.for_each_active([&](FlowId f) {
     const double rate = net_.rate(f);
-    if (rate == meta_[f].rate) continue;  // pending event still exact
+    if (rate == meta_[f].rate) return;  // pending event still exact
     meta_[f].rate = rate;
-    ++meta_[f].sched;
+    meta_[f].completion = 0;
     schedule_completion(f);
-  }
+  });
 }
 
 void FlowSimulator::finish_flow(FlowId flow, bool completed) {
@@ -146,45 +163,32 @@ void FlowSimulator::finish_flow(FlowId flow, bool completed) {
     ++timed_out_;
   }
   makespan_ = std::max(makespan_, progressed_);
-  m.uid = 0;  // stales any pending completion/timeout event
+  m.completion = 0;  // stales any pending completion/timeout event
+  m.timeout = 0;
   net_.remove_flow(flow);
 }
 
-void FlowSimulator::on_completion_event(FlowId flow, std::uint64_t uid,
-                                        std::uint64_t sched,
-                                        engine::SimTime now) {
-  if (counters_ != nullptr) {
-    counters_->bump(telemetry::Counter::kFlowEventsPopped);
-  }
-  if (!net_.is_active(flow) || meta_[flow].uid != uid ||
-      meta_[flow].sched != sched) {
-    return;  // the flow was rescheduled or already ended
-  }
-  progress_to(now);
+void FlowSimulator::on_completion_event(FlowId flow) {
+  progress_to(now_);
   // Sweep every flow that is done at this instant, in slot order: their
-  // own events (same tick, later seq) become stale removals otherwise.
+  // own events (same tick, scheduled later) become stale otherwise.
   finished_buf_.clear();
-  for (const FlowId f : net_.active_flows()) {
+  net_.for_each_active([&](FlowId f) {
     if (meta_[f].remaining <= kDoneEps) finished_buf_.push_back(f);
-  }
+  });
   for (const FlowId f : finished_buf_) finish_flow(f, /*completed=*/true);
   if (!finished_buf_.empty()) {
     reallocate_and_reschedule();
   } else {
     // Defensive: rates drifted between scheduling and firing (cannot
-    // happen — rate changes bump sched) — re-aim rather than stall.
-    ++meta_[flow].sched;
+    // happen — rate changes stale the ticket) — re-aim rather than stall.
+    meta_[flow].completion = 0;
     schedule_completion(flow);
   }
 }
 
-void FlowSimulator::on_timeout_event(FlowId flow, std::uint64_t uid,
-                                     engine::SimTime now) {
-  if (counters_ != nullptr) {
-    counters_->bump(telemetry::Counter::kFlowEventsPopped);
-  }
-  if (!net_.is_active(flow) || meta_[flow].uid != uid) return;
-  progress_to(now);
+void FlowSimulator::on_timeout_event(FlowId flow) {
+  progress_to(now_);
   finish_flow(flow, /*completed=*/meta_[flow].remaining <= kDoneEps);
   reallocate_and_reschedule();
 }
@@ -192,28 +196,31 @@ void FlowSimulator::on_timeout_event(FlowId flow, std::uint64_t uid,
 void FlowSimulator::commit() {
   if (!dirty_) return;
   dirty_ = false;
-  progress_to(queue_.now());
+  progress_to(now_);
   reallocate_and_reschedule();
 }
 
 void FlowSimulator::advance_to(engine::SimTime t) {
   commit();
-  queue_.run_until(t);
+  run_until(t);
+  if (now_ < t) now_ = t;
 }
 
 void FlowSimulator::drain() {
   commit();
-  queue_.run_all();
+  run_until(std::numeric_limits<engine::SimTime>::max());
   // Starved flows (a zero-capacity link and no timeout) have no pending
-  // events; abandon them instead of looping forever.
-  while (!net_.active_flows().empty()) {
-    progress_to(queue_.now());
-    finish_flow(net_.active_flows().front(), /*completed=*/false);
-  }
+  // events; abandon them, in slot order, instead of looping forever.
+  if (net_.active_count() == 0) return;
+  progress_to(now_);
+  finished_buf_.clear();
+  net_.for_each_active([&](FlowId f) { finished_buf_.push_back(f); });
+  for (const FlowId f : finished_buf_) finish_flow(f, /*completed=*/false);
 }
 
 void FlowSimulator::reset() {
-  queue_ = engine::EventQueue{};
+  events_.clear();
+  now_ = 0;
   net_.clear_flows();
   meta_.clear();
   link_volume_.assign(net_.link_count(), 0.0);
@@ -225,7 +232,6 @@ void FlowSimulator::reset() {
   makespan_ = 0;
   started_ = 0;
   timed_out_ = 0;
-  next_uid_ = 1;
   dirty_ = false;
 }
 

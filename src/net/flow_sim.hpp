@@ -5,18 +5,21 @@
 // plus, per hop, the data-direction sender's uplink and the receiver's
 // downlink. Rates come from FairShareNetwork's max-min fair allocator and
 // are recomputed at arrivals, completions and timeouts; in between, every
-// flow progresses linearly, so completions are scheduled as EventQueue
-// events at their exact (tick-rounded) finish time. After a reallocation
-// only flows whose rate actually changed are rescheduled — unchanged
-// flows keep their pending event (the replicant-opera UpdateLinkDemand
-// idiom); stale events are recognized by generation counters and ignored.
+// flow progresses linearly, so completions are scheduled as events at
+// their exact (tick-rounded) finish time. Events are plain records (flow
+// slot + ticket) in a monotone bucket queue (net/radix_queue.hpp) that
+// pops in (time, scheduling order), the order engine::EventQueue gives.
+// After a reallocation only flows whose rate actually changed are
+// rescheduled — unchanged flows keep their pending event (the
+// replicant-opera UpdateLinkDemand idiom); stale events are recognized
+// by their tickets, popped, counted and ignored.
 //
 // The layer is purely temporal: Simulation's routing, counters and SWAP
 // ledger are already final when a flow starts, so counter-based and
 // flow-level runs agree bit-for-bit on everything except the new FCT /
 // utilization outputs (tests/net/flow_equivalence_test.cpp).
 //
-// Concurrency boundary: like its EventQueue, a FlowSimulator is
+// Concurrency boundary: like engine::EventQueue, a FlowSimulator is
 // thread-compatible and single-owner — one per Simulation, one Simulation
 // per TaskPool task. Nothing here is locked, and the `shared-capture`
 // lint rule plus the TSan CI job keep it that way (see
@@ -30,6 +33,7 @@
 #include "common/telemetry/counters.hpp"
 #include "engine/event_queue.hpp"
 #include "net/flow.hpp"
+#include "net/radix_queue.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/forwarding.hpp"
 
@@ -95,9 +99,9 @@ class FlowSimulator {
   }
 
   [[nodiscard]] FlowReport report() const;
-  [[nodiscard]] engine::SimTime now() const noexcept { return queue_.now(); }
+  [[nodiscard]] engine::SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::size_t active_flows() const noexcept {
-    return net_.active_flows().size();
+    return net_.active_count();
   }
   [[nodiscard]] const FairShareNetwork& network() const noexcept {
     return net_;
@@ -117,21 +121,37 @@ class FlowSimulator {
 
  private:
   /// Slot-parallel flow bookkeeping the rate network does not carry.
+  /// Every event scheduled for a slot draws the slot's next ticket; an
+  /// event is live iff its ticket is still the one its flow holds, so
+  /// rescheduling or ending a flow stales its pending events.
   struct Meta {
     double remaining{0.0};       ///< chunks left, as of `progressed_`
     double rate{-1.0};           ///< last scheduled-against rate
     engine::SimTime start{0};
-    std::uint64_t uid{0};        ///< bumps on slot reuse; stales timeouts
-    std::uint64_t sched{0};      ///< bumps on reschedule; stales completions
+    std::uint32_t next_ticket{1};  ///< 0 is never drawn: "no event"
+    std::uint32_t completion{0};   ///< ticket of the live completion
+    std::uint32_t timeout{0};      ///< ticket of the live timeout
   };
 
+  /// A pending completion or timeout of `flow`, due at `when`.
+  struct Event {
+    engine::SimTime when;
+    FlowId flow;
+    std::uint32_t ticket;
+  };
+
+  /// Queues an event for `flow` at `when` (clamped to now) behind every
+  /// event already queued for that tick; returns its ticket.
+  std::uint32_t schedule(engine::SimTime when, FlowId flow);
+  /// Pops and dispatches every event due by `until`, advancing the clock
+  /// to each in turn.
+  void run_until(engine::SimTime until);
   void progress_to(engine::SimTime t);
   void reallocate_and_reschedule();
   void schedule_completion(FlowId flow);
   void finish_flow(FlowId flow, bool completed);
-  void on_completion_event(FlowId flow, std::uint64_t uid, std::uint64_t sched,
-                           engine::SimTime now);
-  void on_timeout_event(FlowId flow, std::uint64_t uid, engine::SimTime now);
+  void on_completion_event(FlowId flow);
+  void on_timeout_event(FlowId flow);
   [[nodiscard]] overlay::EdgeId resolve_edge(overlay::NodeIndex from,
                                              overlay::NodeIndex to) const;
 
@@ -139,7 +159,8 @@ class FlowSimulator {
   FlowConfig config_;
   std::size_t node_count_;
   FairShareNetwork net_;
-  engine::EventQueue queue_;
+  RadixQueue<Event> events_;
+  engine::SimTime now_{0};
   std::vector<Meta> meta_;
   std::vector<double> link_volume_;  ///< chunks delivered over each link
   std::vector<engine::SimTime> fct_;
@@ -153,7 +174,6 @@ class FlowSimulator {
   engine::SimTime makespan_{0};
   std::uint64_t started_{0};
   std::uint64_t timed_out_{0};
-  std::uint64_t next_uid_{1};
   bool dirty_{false};  ///< arrivals awaiting commit()
   /// Sim-plane counters (not owned); null until attached.
   telemetry::CounterBlock* counters_{nullptr};

@@ -3,17 +3,23 @@
 // (b) every flow is bottlenecked at a saturated link or its own cap,
 // (c) the allocation is invariant to flow insertion order at full
 // floating-point precision, (d) rates conserve per link — sum <= capacity
-// with equality on saturated links.
+// with equality on saturated links, (e) the allocator reproduces the plain
+// progressive-filling reference (reference_allocator.hpp) bit for bit
+// under interleaved add / remove / allocate / clear sequences.
 #include "net/flow.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "reference_allocator.hpp"
 
 namespace fairswap::net {
 namespace {
@@ -83,7 +89,7 @@ TEST(FairShareNetwork, RemoveFlowRecyclesSlotAndFreesBandwidth) {
   EXPECT_DOUBLE_EQ(net.rate(b), 2.0);
   const FlowId c = net.add_flow(std::vector<LinkId>{l});
   EXPECT_EQ(c, a);  // slot recycled
-  EXPECT_EQ(net.active_flows().size(), 2u);
+  EXPECT_EQ(net.active_count(), 2u);
 }
 
 TEST(FairShareNetwork, FlowWithoutLinksOrCapIsRejected) {
@@ -104,6 +110,15 @@ TEST(FairShareNetwork, ZeroCapacityLinkStarvesItsFlows) {
   net.allocate();
   EXPECT_DOUBLE_EQ(net.rate(starved), 0.0);
   EXPECT_DOUBLE_EQ(net.rate(fine), 1.0);
+}
+
+TEST(FairShareNetwork, NegativeOrNanCapacityIsRejected) {
+  FairShareNetwork net;
+  EXPECT_THROW(net.add_link(-1.0), std::invalid_argument);
+  // A NaN link never saturates, so allocate() would spin forever.
+  EXPECT_THROW(net.add_link(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(net.link_count(), 0u);
 }
 
 // --- property / fuzz ----------------------------------------------------
@@ -270,6 +285,149 @@ TEST(FairShareNetworkProperty, ReallocationAfterRemovalsKeepsInvariants) {
         EXPECT_NEAR(used[l], c.capacities[l], kTol) << "iter " << iter;
       }
     }
+  }
+}
+
+// --- differential oracle ------------------------------------------------
+
+/// One FairShareNetwork and one reference driven through the same
+/// operations; allocate_and_compare() checks they agree to the bit.
+class Differential {
+ public:
+  explicit Differential(const std::vector<double>& capacities) {
+    for (const double cap : capacities) {
+      EXPECT_EQ(net_.add_link(cap), ref_.add_link(cap));
+    }
+  }
+
+  void add(const std::vector<LinkId>& links, double cap) {
+    const FlowId a = net_.add_flow(links, cap);
+    const FlowId b = ref_.add_flow(links, cap);
+    ASSERT_EQ(a, b);
+    live_.push_back(a);
+  }
+  void remove(std::size_t i) {
+    net_.remove_flow(live_[i]);
+    ref_.remove_flow(live_[i]);
+    live_[i] = live_.back();
+    live_.pop_back();
+  }
+  void clear() {
+    net_.clear_flows();
+    ref_.clear_flows();
+    live_.clear();
+  }
+  [[nodiscard]] std::size_t live() const { return live_.size(); }
+
+  void allocate_and_compare(int iter, int step) {
+    net_.allocate();
+    ref_.allocate();
+    std::vector<FlowId> active;
+    net_.for_each_active([&](FlowId f) { active.push_back(f); });
+    ASSERT_EQ(active, ref_.active_flows());
+    for (const FlowId f : active) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(net_.rate(f)),
+                std::bit_cast<std::uint64_t>(ref_.rate(f)))
+          << "iter " << iter << " step " << step << " flow " << f << ": "
+          << net_.rate(f) << " vs reference " << ref_.rate(f);
+    }
+    for (LinkId l = 0; l < ref_.link_count(); ++l) {
+      ASSERT_EQ(net_.link_saturated(l), ref_.link_saturated(l))
+          << "iter " << iter << " step " << step << " link " << l;
+    }
+    ASSERT_EQ(net_.ever_saturated_count(), ref_.ever_saturated_count())
+        << "iter " << iter << " step " << step;
+  }
+
+ private:
+  FairShareNetwork net_;
+  oracle::ReferenceFairShareNetwork ref_;
+  std::vector<FlowId> live_;
+};
+
+/// Link capacities drawn so that shares tie often: whole and half units,
+/// a tenth grid whose sums round, some zero-capacity links and a few
+/// unbounded ones.
+double random_capacity(Rng& rng) {
+  if (rng.next_below(40) == 0) return std::numeric_limits<double>::infinity();
+  switch (rng.next_below(4)) {
+    case 0:
+      return static_cast<double>(rng.next_below(5)) * 0.5;  // 0 included
+    case 1:
+      return static_cast<double>(1 + rng.next_below(100)) / 10.0;
+    case 2:
+      return rng.next_below(6) == 0 ? 0.0 : 1.0;
+    default:
+      return 0.05 * static_cast<double>(1 + rng.next_below(40)) / 3.0;
+  }
+}
+
+TEST(FairShareNetworkOracle, MatchesReferenceBitForBitUnderChurn) {
+  Rng rng(0x0AC1Eu);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::vector<double> capacities(1 + rng.next_below(40));
+    for (double& cap : capacities) cap = random_capacity(rng);
+    const auto link_count = static_cast<LinkId>(capacities.size());
+    Differential diff(capacities);
+
+    const int steps = 10 + static_cast<int>(rng.next_below(60));
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 55 || diff.live() == 0) {
+        std::vector<LinkId> links;
+        const std::size_t count = rng.next_below(7);  // 0 needs a cap
+        for (std::size_t i = 0; i < count; ++i) {
+          links.push_back(static_cast<LinkId>(rng.next_below(link_count)));
+          // Duplicate ids are deduplicated by add_flow.
+          if (rng.next_below(5) == 0) links.push_back(links.back());
+        }
+        double cap = FairShareNetwork::kUncapped;
+        if (links.empty() || rng.next_below(3) == 0) {
+          cap = rng.next_below(8) == 0
+                    ? 0.0
+                    : static_cast<double>(1 + rng.next_below(30)) / 8.0;
+        }
+        diff.add(links, cap);
+      } else if (op < 85) {
+        diff.remove(rng.next_below(diff.live()));
+      } else if (op < 87) {
+        diff.clear();
+      }
+      // Reallocate after most operations, so several adds or removes
+      // sometimes land between two allocate() calls.
+      if (rng.next_below(4) != 0) diff.allocate_and_compare(iter, step);
+    }
+    diff.allocate_and_compare(iter, steps);
+  }
+}
+
+TEST(FairShareNetworkOracle, MatchesReferenceOnLargeRandomCases) {
+  // The property suite's generator at larger sizes, each case allocated,
+  // half-drained and reallocated on the same pair of objects.
+  Rng rng(0x0AC1E2u);
+  for (int iter = 0; iter < 40; ++iter) {
+    std::vector<double> capacities(20 + rng.next_below(200));
+    for (double& cap : capacities) cap = random_capacity(rng);
+    Differential diff(capacities);
+    const std::size_t flows = 50 + rng.next_below(400);
+    for (std::size_t f = 0; f < flows; ++f) {
+      std::vector<LinkId> links;
+      const std::size_t count = 1 + rng.next_below(9);
+      for (std::size_t i = 0; i < count; ++i) {
+        links.push_back(
+            static_cast<LinkId>(rng.next_below(capacities.size())));
+      }
+      const double cap =
+          rng.next_below(4) == 0
+              ? 0.05 + static_cast<double>(rng.next_below(500)) / 100.0
+              : FairShareNetwork::kUncapped;
+      diff.add(links, cap);
+    }
+    diff.allocate_and_compare(iter, 0);
+    for (std::size_t i = diff.live() / 2; i > 0; --i) {
+      diff.remove(rng.next_below(diff.live()));
+    }
+    diff.allocate_and_compare(iter, 1);
   }
 }
 

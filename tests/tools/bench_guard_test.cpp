@@ -29,8 +29,9 @@ TEST(BenchGuard, BaselineAgainstItselfIsClean) {
   const GuardResult r = compare(base, base, Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  // 2 routing k-points x 3 metrics + 2 ledger k-points x 2 metrics.
-  EXPECT_EQ(r.compared, 10u);
+  // 2 routing k-points x 3 metrics + 2 ledger k-points x 2 metrics + 2
+  // flow k-points x 1 metric.
+  EXPECT_EQ(r.compared, 12u);
 }
 
 TEST(BenchGuard, InjectedRegressionFiresOnExactlyTheSlowedMetrics) {
@@ -64,7 +65,7 @@ TEST(BenchGuard, GettingFasterNeverFails) {
                                 fixture("improved.json"), Options{});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.drifts.empty());
-  EXPECT_EQ(r.compared, 10u);
+  EXPECT_EQ(r.compared, 12u);
 }
 
 TEST(BenchGuard, ToleranceIsAdjustable) {
@@ -98,6 +99,32 @@ TEST(BenchGuard, SweepPointsMatchByKNotArrayIndex) {
   EXPECT_EQ(r.compared, 5u);
 }
 
+TEST(BenchGuard, FlowWallClockIsGatedInSeconds) {
+  // The fixture's flow row at k=4, with flow_wall_s doubled: exactly that
+  // metric drifts, and its report line carries seconds, not ns.
+  std::string fresh = fixture("baseline.json");
+  const std::string before = R"("flow_wall_s":0.98)";
+  const std::size_t at = fresh.find(before);
+  ASSERT_NE(at, std::string::npos);
+  fresh.replace(at, before.size(), R"("flow_wall_s":1.96)");
+
+  const GuardResult r = compare(fixture("baseline.json"), fresh, Options{});
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  EXPECT_EQ(r.compared, 12u);
+  ASSERT_EQ(r.drifts.size(), 1u);
+  const Drift& d = r.drifts[0];
+  EXPECT_EQ(d.section, "flow");
+  EXPECT_EQ(d.k, 4u);
+  EXPECT_EQ(d.metric, "flow_wall_s");
+  EXPECT_EQ(d.unit, "s");
+  EXPECT_DOUBLE_EQ(d.ratio, 2.0);
+  const std::string line = format(d, Options{});
+  EXPECT_NE(line.find("flow k=4 flow_wall_s: 0.98 -> 1.96 s (2.00x"),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find("ns"), std::string::npos) << line;
+}
+
 TEST(BenchGuard, MalformedInputIsAHardError) {
   const GuardResult r =
       compare(fixture("baseline.json"), "{\"routing\":[", Options{});
@@ -113,10 +140,11 @@ TEST(BenchGuard, UnrelatedSchemaIsAHardError) {
 }
 
 TEST(BenchGuard, FormatNamesTheMetricAndBand) {
-  Drift d{"routing", 8, "batched_ns_per_route", 120.0, 240.0, 2.0};
+  Drift d{"routing", 8, "batched_ns_per_route", 120.0, 240.0, 2.0, "ns"};
   const std::string line = format(d, Options{});
   EXPECT_NE(line.find("routing k=8"), std::string::npos);
   EXPECT_NE(line.find("batched_ns_per_route"), std::string::npos);
+  EXPECT_NE(line.find("120 -> 240 ns"), std::string::npos) << line;
   EXPECT_NE(line.find("2.00x"), std::string::npos);
   EXPECT_NE(line.find("1.50x"), std::string::npos);
 }

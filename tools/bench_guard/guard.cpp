@@ -218,20 +218,23 @@ std::optional<FlatDoc> parse_doc(const std::string& json, std::string& error,
   return doc;
 }
 
-/// The guarded unit costs. Everything else in the document (speedups,
-/// memory, correctness booleans) is covered by its own tests; the guard
-/// exists for the two hot-path ns numbers the issue names.
+/// The guarded costs: the hot-path unit costs (routing ns/route, ledger
+/// ns/debit) and the flow plane's wall clock. Everything else in the
+/// document (speedups, memory, correctness booleans) is covered by its
+/// own tests.
 struct GuardedMetric {
   const char* section;
   const char* metric;
+  const char* unit;
 };
 
 constexpr GuardedMetric kGuarded[] = {
-    {"routing", "greedy_ns_per_route"},
-    {"routing", "compiled_ns_per_route"},
-    {"routing", "batched_ns_per_route"},
-    {"ledger", "map_ns_per_debit"},
-    {"ledger", "edge_ns_per_debit"},
+    {"routing", "greedy_ns_per_route", "ns"},
+    {"routing", "compiled_ns_per_route", "ns"},
+    {"routing", "batched_ns_per_route", "ns"},
+    {"ledger", "map_ns_per_debit", "ns"},
+    {"ledger", "edge_ns_per_debit", "ns"},
+    {"flow", "flow_wall_s", "s"},
 };
 
 }  // namespace
@@ -266,25 +269,26 @@ GuardResult compare(const std::string& baseline_json,
         if (open != std::string::npos && close != std::string::npos) {
           k = std::stoull(key.substr(open + 2, close - open - 2));
         }
-        result.drifts.push_back(
-            {g.section, k, g.metric, base_value, fresh_it->second, ratio});
+        result.drifts.push_back({g.section, k, g.metric, base_value,
+                                 fresh_it->second, ratio, g.unit});
       }
     }
   }
   if (result.compared == 0) {
     result.error =
-        "no comparable routing/ledger metrics between baseline and fresh "
-        "documents (wrong schema?)";
+        "no comparable routing/ledger/flow metrics between baseline and "
+        "fresh documents (wrong schema?)";
   }
   return result;
 }
 
 std::string format(const Drift& d, const Options& options) {
   char buf[256];
+  const std::string unit = d.unit.empty() ? "" : " " + d.unit;
   std::snprintf(buf, sizeof buf,
-                "%s k=%llu %s: %.1f -> %.1f ns (%.2fx, limit %.2fx)",
+                "%s k=%llu %s: %.4g -> %.4g%s (%.2fx, limit %.2fx)",
                 d.section.c_str(), static_cast<unsigned long long>(d.k),
-                d.metric.c_str(), d.baseline, d.fresh, d.ratio,
+                d.metric.c_str(), d.baseline, d.fresh, unit.c_str(), d.ratio,
                 1.0 + options.tolerance);
   return buf;
 }

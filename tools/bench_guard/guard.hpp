@@ -2,8 +2,9 @@
 //
 // Compares a freshly produced fairswap.bench_scale.v1 document against
 // the committed reference (bench/baseline.json) on the hot-path unit
-// costs: routing ns/route (greedy, compiled, batched) and ledger
-// ns/debit (map, edge), matched per k. A metric drifts when the fresh
+// costs — routing ns/route (greedy, compiled, batched) and ledger
+// ns/debit (map, edge) — and the flow plane's wall clock (flow_wall_s),
+// matched per k. A metric drifts when the fresh
 // value exceeds baseline * (1 + tolerance) — regression direction only;
 // getting faster never fails the gate.
 //
@@ -32,12 +33,13 @@ struct Options {
 
 /// One metric that regressed past the tolerance band.
 struct Drift {
-  std::string section;  ///< "routing" or "ledger"
+  std::string section;  ///< "routing", "ledger" or "flow"
   std::uint64_t k{0};   ///< the sweep point the metric belongs to
   std::string metric;   ///< e.g. "batched_ns_per_route"
   double baseline{0};
   double fresh{0};
   double ratio{0};  ///< fresh / baseline
+  std::string unit;  ///< "ns" or "s"
 };
 
 struct GuardResult {
@@ -56,7 +58,7 @@ struct GuardResult {
 GuardResult compare(const std::string& baseline_json,
                     const std::string& fresh_json, const Options& options);
 
-/// "routing k=8 batched_ns_per_route: 123.0 -> 310.1 (2.52x, limit 1.50x)"
+/// "routing k=8 batched_ns_per_route: 123 -> 310.1 ns (2.52x, limit 1.50x)"
 std::string format(const Drift& d, const Options& options);
 
 }  // namespace fairswap::guard

@@ -3,10 +3,11 @@
 //   bench_guard <baseline.json> <fresh.json> [--tolerance=0.5]
 //
 // Compares the hot-path unit costs (routing ns/route, ledger ns/debit)
-// of a fresh fairswap.bench_scale.v1 document against the committed
-// baseline. Exit 0 when every compared metric is within the tolerance
-// band (or faster), 1 on drift, 2 on usage/parse errors — a malformed
-// document can never masquerade as a clean gate.
+// and the flow plane's wall clock (flow_wall_s) of a fresh
+// fairswap.bench_scale.v1 document against the committed baseline.
+// Exit 0 when every compared metric is within the tolerance band (or
+// faster), 1 on drift, 2 on usage/parse errors — a malformed document
+// can never masquerade as a clean gate.
 #include <fstream>
 #include <iostream>
 #include <sstream>
