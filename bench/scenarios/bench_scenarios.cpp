@@ -3,7 +3,9 @@
 // ScenarioEquivalence.MigratedScenariosMatchPinnedOutput.
 #include "scenarios/bench_scenarios.hpp"
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,9 +19,10 @@
 #include "common/token.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
+#include "engine/sim_time.hpp"
 #include "harness/scenario.hpp"
 #include "incentives/storage_game.hpp"
-#include "net/network.hpp"
+#include "net/link.hpp"
 #include "overlay/churn.hpp"
 #include "overlay/forwarding.hpp"
 #include "overlay/graph_metrics.hpp"
@@ -44,7 +47,7 @@ bool read_count(ScenarioContext& ctx, const char* key, std::uint64_t fallback,
   return false;
 }
 
-/// The 1000-node, 16-bit overlay the message-level extensions run on.
+/// The 1000-node, 16-bit overlay the extensions below run on.
 overlay::Topology build_paper_overlay(std::size_t k, std::uint64_t seed) {
   overlay::TopologyConfig tcfg;
   tcfg.node_count = 1000;
@@ -264,14 +267,45 @@ int scenario_churn(ScenarioContext& ctx) {
 
 // --- latency ------------------------------------------------------------
 //
-// Extension: retrieval latency at message granularity.
+// Extension: retrieval latency over per-link delays.
 //
-// The step-based simulator counts hops; this scenario replays the same
-// protocol on the discrete-event network with per-link latencies and
-// reports the end-to-end retrieval latency distribution per bucket size.
-// It makes the §V connection-cost trade-off concrete from the *user's*
-// side: larger k does not just spread rewards more fairly (Figs. 5/6), it
-// shortens routes and cuts retrieval latency.
+// The step-based simulator counts hops; this scenario gives every link a
+// deterministic delay and reports the end-to-end retrieval latency
+// distribution per bucket size. Links carry no contention, so a
+// retrieval's latency is the round trip over its forwarding path: the
+// request crosses each link and the chunk crosses it back. Messages count
+// one request per hop plus, per hop, the delivery relayed back (or, on a
+// dead end, the fail notice). It makes the §V connection-cost trade-off
+// concrete from the *user's* side: larger k does not just spread rewards
+// more fairly (Figs. 5/6), it shortens routes and cuts retrieval latency.
+
+/// Arrival times of a retrieval's messages, newest first, when it is
+/// issued at time 0: the chunk's arrivals back along `path`, then the
+/// request's arrivals out to the storer, down to the issue at 0. A route
+/// of h hops has 2h + 1 of them; the front is the retrieval's latency.
+///
+/// The hop mean is folded in completion order, as the message-level
+/// simulator this scenario replaced folded it, so the printed mean stays
+/// the same where it sits on a rounding tie. That simulator fired
+/// same-time messages in the order their predecessors fired, so its
+/// completion order is the lexicographic order of these vectors.
+std::vector<engine::SimTime> arrivals_newest_first(
+    const net::LatencyModel& links, std::span<const overlay::NodeIndex> path) {
+  const std::size_t hops = path.size() - 1;
+  std::vector<engine::SimTime> at(2 * hops + 1);
+  // The request reaches path[j] at at[2 * hops - j]; at[hops] is the
+  // storer's.
+  for (std::size_t j = 1; j <= hops; ++j) {
+    const std::size_t r = 2 * hops - j;
+    at[r] = at[r + 1] + links.latency(path[j - 1], path[j]);
+  }
+  // The chunk takes the same links back to path[j].
+  for (std::size_t j = 0; j < hops; ++j) {
+    at[j] = 2 * at[hops] - at[2 * hops - j];
+  }
+  return at;
+}
+
 int scenario_latency(ScenarioContext& ctx) {
   std::uint64_t retrievals = 0;
   if (!read_count(ctx, "retrievals", 50'000, retrievals)) return 2;
@@ -287,44 +321,47 @@ int scenario_latency(ScenarioContext& ctx) {
 
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     const auto topo = build_paper_overlay(k, ctx.seed);
+    const overlay::ForwardingRouter router(topo);
+    const net::LatencyModel links({.base = 10,    // ~10ms propagation floor
+                                   .jitter = 40,  // links up to 50ms
+                                   .seed = ctx.seed});
 
-    net::NetworkConfig ncfg;
-    ncfg.latency.base = 10;   // ~10ms propagation floor
-    ncfg.latency.jitter = 40; // heterogeneous links up to 50ms
-    ncfg.latency.seed = ctx.seed;
-    net::Network network(topo, ncfg);
-
-    std::vector<double> latencies;
-    latencies.reserve(retrievals);
-    RunningStats hops;
-    std::uint64_t successes = 0;
+    // Message arrival times of each successful retrieval.
+    std::vector<std::vector<engine::SimTime>> done;
+    std::uint64_t messages = 0;
+    overlay::Route route;
     Rng rng(ctx.seed + k);
     for (std::uint64_t i = 0; i < retrievals; ++i) {
       const auto origin =
           static_cast<overlay::NodeIndex>(rng.index(topo.node_count()));
       const Address chunk{
           static_cast<AddressValue>(rng.next_below(topo.space().size()))};
-      network.retrieve(origin, chunk, [&](const net::RetrievalResult& r) {
-        if (!r.success) return;
-        ++successes;
-        latencies.push_back(static_cast<double>(r.latency));
-        hops.add(static_cast<double>(r.path.size() - 1));
-      });
+      router.route_into(origin, chunk, route);
+      messages += 2 * route.hops();
+      if (route.reached_storer) {
+        done.push_back(arrivals_newest_first(links, route.path));
+      }
     }
-    network.run();
+    std::sort(done.begin(), done.end());  // completion order
 
+    std::vector<double> latencies;
+    latencies.reserve(done.size());
+    RunningStats hops;
+    for (const auto& at : done) {
+      latencies.push_back(static_cast<double>(at.front()));
+      hops.add(static_cast<double>(at.size() / 2));
+    }
+    const std::uint64_t successes = done.size();
     const Summary s = summarize(std::span<const double>(latencies));
     table.add_row({std::to_string(k),
                    TextTable::num(100.0 * static_cast<double>(successes) /
                                       static_cast<double>(retrievals), 2) + "%",
                    TextTable::num(hops.mean(), 2), TextTable::num(s.mean, 1),
                    TextTable::num(s.median, 0), TextTable::num(s.p90, 0),
-                   TextTable::num(s.p99, 0),
-                   std::to_string(network.messages_sent())});
+                   TextTable::num(s.p99, 0), std::to_string(messages)});
     csv.cells(k,
               static_cast<double>(successes) / static_cast<double>(retrievals),
-              hops.mean(), s.mean, s.median, s.p90, s.p99,
-              network.messages_sent());
+              hops.mean(), s.mean, s.median, s.p90, s.p99, messages);
   }
   print(ctx.os(), "%s", table.render().c_str());
   print(ctx.os(),
@@ -622,7 +659,7 @@ void register_bench_scenarios() {
                   "routing and income fairness under node churn (requests=N)",
                   10'000, &scenario_churn, {"requests"}});
     registry.add({"latency",
-                  "message-level retrieval latency per k (retrievals=N)",
+                  "retrieval latency over link delays per k (retrievals=N)",
                   10'000, &scenario_latency, {"retrievals"}});
     registry.add({"overhead",
                   "paid vs total bandwidth and cheque-cashing fees (2x2 grid)",

@@ -1,8 +1,9 @@
 // The experiments that call modules below core (overlay graph metrics,
-// churn, the message-level network, cheques, iterative lookup, the
-// storage game) as registered scenarios. The lint layer DAG lets
-// src/harness include only agents, common and core, so these bodies live
-// on the bench side; fairswap_run and the harness tests both link them.
+// churn, forwarding routes with link latencies, cheques, iterative
+// lookup, the storage game) as registered scenarios. The lint layer DAG
+// lets src/harness include only agents, common and core, so these bodies
+// live on the bench side; fairswap_run and the harness tests both link
+// them.
 #pragma once
 
 namespace fairswap::bench {

@@ -1,21 +1,19 @@
 // The SWAP channel over time (paper Fig. 2): two peers exchange service at
 // different rates while time-based amortization pulls the balance back
-// toward zero. Driven by the discrete-event engine so requests and
-// amortization ticks interleave on a realistic timeline.
+// toward zero. A plain tick loop interleaves the requests and the
+// amortization on one timeline.
 //
 // Demonstrates the free-tier property the paper highlights: "nodes may
 // give away a limited amount of bandwidth per time-unit and connection for
 // free. This feature allows anybody to request content from Swarm for
 // free - albeit at a slow rate."
+#include <cstdint>
 #include <cstdio>
 
 #include "accounting/swap.hpp"
-#include "engine/event_queue.hpp"
 
 int main() {
   using namespace fairswap;
-  using engine::EventQueue;
-  using engine::SimTime;
 
   accounting::SwapConfig cfg;
   cfg.payment_threshold = Token(100);
@@ -23,7 +21,6 @@ int main() {
   cfg.amortization_per_tick = Token(2);
   accounting::SwapNetwork swap(2, cfg);
 
-  EventQueue queue;
   std::printf("two peers; A consumes 5 units from B every 2 ticks, B "
               "consumes 5 units from A every 6 ticks; amortization forgives "
               "2 units/tick.\n");
@@ -31,21 +28,24 @@ int main() {
   std::printf("%6s %14s %10s %12s\n", "tick", "A owes B", "refused",
               "settlements");
 
-  // Peer A requests from B every 2 ticks (heavy consumer).
-  std::function<void(SimTime)> a_requests = [&](SimTime) {
-    (void)swap.debit(/*consumer=*/0, /*provider=*/1, Token(5),
-                     /*can_settle=*/false);
-    queue.schedule_after(2, a_requests);
-  };
-  // Peer B requests from A every 6 ticks (light consumer).
-  std::function<void(SimTime)> b_requests = [&](SimTime) {
-    (void)swap.debit(/*consumer=*/1, /*provider=*/0, Token(5),
-                     /*can_settle=*/false);
-    queue.schedule_after(6, b_requests);
-  };
-  // Amortization ticks once per time unit; print every 10.
+  // Within a tick, B's request comes first, then A's, then amortization.
   std::uint64_t refused = 0;
-  std::function<void(SimTime)> tick = [&](SimTime now) {
+  for (std::uint64_t now = 1; now <= 120; ++now) {
+    // Peer B requests from A every 6 ticks (light consumer).
+    if (now % 6 == 0 &&
+        swap.debit(/*consumer=*/1, /*provider=*/0, Token(5),
+                   /*can_settle=*/false) ==
+            accounting::DebitResult::kDisconnected) {
+      ++refused;
+    }
+    // Peer A requests from B every 2 ticks (heavy consumer).
+    if (now % 2 == 0 &&
+        swap.debit(/*consumer=*/0, /*provider=*/1, Token(5),
+                   /*can_settle=*/false) ==
+            accounting::DebitResult::kDisconnected) {
+      ++refused;
+    }
+    // Amortization ticks once per time unit; print every 10.
     swap.amortize_tick();
     if (now % 10 == 0) {
       std::printf("%6llu %14s %10llu %12zu\n",
@@ -54,13 +54,7 @@ int main() {
                   static_cast<unsigned long long>(refused),
                   swap.settlements().size());
     }
-    if (now < 120) queue.schedule_after(1, tick);
-  };
-
-  queue.schedule_at(1, tick);
-  queue.schedule_at(2, a_requests);
-  queue.schedule_at(6, b_requests);
-  queue.run_until(120);
+  }
 
   std::printf("\nA's net consumption (~1.7 units/tick beyond B's) races the "
               "2 units/tick amortization: the balance hovers in a bounded "

@@ -1,7 +1,5 @@
-// The storage-incentive pipeline end to end: uploaders buy postage
-// batches and stamp chunks; batch balances drain into the redistribution
-// pot; each round a neighborhood lottery pays one staked node that can
-// prove custody with a real BMT inclusion proof.
+// The storage-incentive lottery: each round a neighborhood lottery pays
+// one staked node that can prove custody with a real BMT inclusion proof.
 //
 // This is the §V "storage incentives" thread: the bandwidth benches show
 // who earns from *serving* data, this example shows who earns from
@@ -12,7 +10,6 @@
 #include "common/gini.hpp"
 #include "common/rng.hpp"
 #include "incentives/storage_game.hpp"
-#include "storage/postage.hpp"
 
 int main(int argc, char** argv) {
   using namespace fairswap;
@@ -27,29 +24,6 @@ int main(int argc, char** argv) {
   Rng trng(kDefaultSeed);
   const auto topo = overlay::Topology::build(cfg, trng);
 
-  // Uploaders fund the system: 20 batches of 2^12 chunks each.
-  storage::PostageOffice office;
-  Rng rng(11);
-  std::uint64_t stamped = 0;
-  for (int b = 0; b < 20; ++b) {
-    const auto owner = static_cast<std::uint32_t>(rng.index(topo.node_count()));
-    const auto id = office.buy_batch(owner, 12, Token(250'000));
-    // Each uploader stamps a few thousand chunks.
-    const auto uploads = 2000 + rng.next_below(2000);
-    for (std::uint64_t c = 0; c < uploads; ++c) {
-      if (office.stamp(id, Address{static_cast<AddressValue>(
-                                rng.next_below(topo.space().size()))})) {
-        ++stamped;
-      }
-    }
-  }
-  std::printf("uploaders bought %zu batches (%s total) and stamped %llu "
-              "chunks\n",
-              office.batch_count(),
-              office.total_purchased().to_string().c_str(),
-              static_cast<unsigned long long>(stamped));
-
-  // The redistribution game, funded by draining batch balances each round.
   incentives::StorageGameConfig gcfg;
   gcfg.depth = 4;
   incentives::StorageGame game(topo, gcfg);
@@ -57,15 +31,10 @@ int main(int argc, char** argv) {
     game.set_stake(n, Token::whole(1));
   }
 
-  Token revenue;
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    revenue += office.tick(Token(25));  // postage drain funds the round
-    game.play_round(rng);
-  }
-  std::printf("over %llu rounds the postage drain collected %s; the lottery "
-              "paid %llu rounds\n",
+  Rng rng(11);
+  for (std::uint64_t r = 0; r < rounds; ++r) game.play_round(rng);
+  std::printf("over %llu rounds the lottery paid %llu rounds\n",
               static_cast<unsigned long long>(rounds),
-              revenue.to_string().c_str(),
               static_cast<unsigned long long>(game.rounds_paid()));
 
   const auto rewards = game.rewards_double();

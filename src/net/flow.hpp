@@ -28,7 +28,7 @@
 #include <span>
 #include <vector>
 
-#include "engine/event_queue.hpp"
+#include "engine/sim_time.hpp"
 
 namespace fairswap::net {
 

@@ -8,7 +8,8 @@
 // flow progresses linearly, so completions are scheduled as events at
 // their exact (tick-rounded) finish time. Events are plain records (flow
 // slot + ticket) in a monotone bucket queue (net/radix_queue.hpp) that
-// pops in (time, scheduling order), the order engine::EventQueue gives.
+// pops in (time, scheduling order), the order of the callback queue in
+// tests/net/reference_event_queue.hpp.
 // After a reallocation only flows whose rate actually changed are
 // rescheduled — unchanged flows keep their pending event (the
 // replicant-opera UpdateLinkDemand idiom); stale events are recognized
@@ -19,11 +20,12 @@
 // flow-level runs agree bit-for-bit on everything except the new FCT /
 // utilization outputs (tests/net/flow_equivalence_test.cpp).
 //
-// Concurrency boundary: like engine::EventQueue, a FlowSimulator is
-// thread-compatible and single-owner — one per Simulation, one Simulation
-// per TaskPool task. Nothing here is locked, and the `shared-capture`
-// lint rule plus the TSan CI job keep it that way (see
-// engine/event_queue.hpp).
+// Concurrency boundary: a FlowSimulator is thread-compatible and
+// single-owner — one per Simulation, one Simulation per TaskPool task;
+// parallelism stays *between* simulations, never inside one. Nothing here
+// is locked, and the `shared-capture` lint rule (a simulator cannot be
+// ref-captured into a parallel_for lambda without a reasoned allow) plus
+// the TSan CI job keep it that way.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,7 @@
 
 #include "common/stream_stats.hpp"
 #include "common/telemetry/counters.hpp"
-#include "engine/event_queue.hpp"
+#include "engine/sim_time.hpp"
 #include "net/flow.hpp"
 #include "net/radix_queue.hpp"
 #include "overlay/compiled_router.hpp"

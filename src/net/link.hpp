@@ -2,14 +2,14 @@
 //
 // Latencies are deterministic per unordered node pair: a base propagation
 // delay plus a pair-specific jitter derived by hashing (seed, lo, hi).
-// Deterministic latencies keep message-level runs reproducible without
-// storing an O(n^2) latency matrix.
+// Deterministic latencies keep latency runs reproducible without storing
+// an O(n^2) latency matrix.
 #pragma once
 
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "engine/event_queue.hpp"
+#include "engine/sim_time.hpp"
 #include "overlay/topology.hpp"
 
 namespace fairswap::net {

@@ -11,8 +11,10 @@
 //
 // Events with equal times pop in push order: buckets are appended to and
 // redistributed front to back, so each bucket stays in push order. That
-// reproduces engine::EventQueue's (time, scheduling order) firing order
-// exactly (tests/net/radix_queue_test.cpp).
+// reproduces the (time, scheduling order) firing order of the generic
+// callback queue the flow layer used to run on, which is kept as the
+// test-only oracle in tests/net/reference_event_queue.hpp
+// (tests/net/radix_queue_test.cpp).
 #pragma once
 
 #include <algorithm>
@@ -22,7 +24,7 @@
 #include <limits>
 #include <vector>
 
-#include "engine/event_queue.hpp"
+#include "engine/sim_time.hpp"
 
 namespace fairswap::net {
 

@@ -1,11 +1,11 @@
-#include "engine/event_queue.hpp"
+#include "reference_event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <vector>
 
-namespace fairswap::engine {
+namespace fairswap::net::oracle {
 namespace {
 
 TEST(EventQueue, RunsEventsInTimeOrder) {
@@ -171,4 +171,4 @@ TEST(EventQueue, PendingCountsScheduledEvents) {
 }
 
 }  // namespace
-}  // namespace fairswap::engine
+}  // namespace fairswap::net::oracle

@@ -231,7 +231,7 @@ TEST(FlowEquivalence, RunPlanBitIdenticalForAnyThreadCount) {
   const auto parallel = run_with(4);
   ASSERT_FALSE(serial.empty());
   // Bitwise equality of every folded metric — flow completion events run
-  // on the per-run EventQueue, never on anything thread- or hash-ordered.
+  // on the per-run event queue, never on anything thread- or hash-ordered.
   EXPECT_EQ(serial, parallel);
 
   // The sweep actually exercised the flow layer: the congested cell's FCT

@@ -3,10 +3,11 @@
 // cell are hashed — every FlowReport field plus the sim-plane counter
 // fingerprint (events popped, rate recomputes, saturation episodes, ...)
 // — against values recorded from the plain progressive-filling allocator
-// on engine::EventQueue, 16 files of the paper's k=4 cell at seed 1. The
-// timeout run (about half the flows time out) pins the (time, scheduling
-// order) interleaving of timeout and completion events; the bounded_fct
-// run pins the sketch path.
+// on the callback event queue now kept in reference_event_queue.hpp, 16
+// files of the paper's k=4 cell at seed 1. The timeout run (about half
+// the flows time out) pins the (time, scheduling order) interleaving of
+// timeout and completion events; the bounded_fct run pins the sketch
+// path.
 #include <gtest/gtest.h>
 
 #include <bit>

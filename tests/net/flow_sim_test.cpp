@@ -1,5 +1,5 @@
 // FlowSimulator unit tests: exact completion times under max-min sharing,
-// timeouts, reset, and EventQueue-driven determinism (completion order
+// timeouts, reset, and event-queue-driven determinism (completion order
 // independent of batch insertion order — there is no hash-map iteration
 // anywhere in the flow layer to leak container order into results).
 #include "net/flow_sim.hpp"

@@ -1,4 +1,4 @@
-// RadixQueue must fire events in exactly engine::EventQueue's order —
+// RadixQueue must fire events in exactly oracle::EventQueue's order —
 // time first, then scheduling order — under the flow layer's usage:
 // pushes never before the clock, pushes from inside a pop at the current
 // tick, and pops bounded by run-until horizons that leave later events
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "engine/event_queue.hpp"
+#include "reference_event_queue.hpp"
 
 namespace fairswap::net {
 namespace {
@@ -46,7 +46,7 @@ std::optional<engine::SimTime> follow_up(std::uint32_t id,
   }
 }
 
-/// engine::EventQueue driven the way FlowSimulator drove it.
+/// oracle::EventQueue driven the way FlowSimulator drove it.
 class ReferenceSide {
  public:
   void push(engine::SimTime when) {
@@ -63,7 +63,7 @@ class ReferenceSide {
   }
 
  private:
-  engine::EventQueue queue_;
+  oracle::EventQueue queue_;
   std::uint32_t next_id_{0};
   std::vector<std::uint32_t> order_;
 };

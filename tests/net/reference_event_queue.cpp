@@ -1,8 +1,8 @@
-#include "engine/event_queue.hpp"
+#include "reference_event_queue.hpp"
 
 #include <utility>
 
-namespace fairswap::engine {
+namespace fairswap::net::oracle {
 
 void EventQueue::schedule_at(SimTime when, Callback cb) {
   if (when < now_) when = now_;
@@ -40,4 +40,4 @@ std::size_t EventQueue::run_all() {
   return fired;
 }
 
-}  // namespace fairswap::engine
+}  // namespace fairswap::net::oracle

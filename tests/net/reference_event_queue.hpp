@@ -1,15 +1,11 @@
-// A discrete-event queue with a monotone clock and stable FIFO ordering
-// for simultaneous events. Drives the temporal extensions the step-based
-// engine cannot express: time-based amortization dynamics, churn, and
-// latency modelling.
+// Test-only oracle for net::RadixQueue: a generic discrete-event queue
+// (std::function callbacks in a binary heap). The flow layer ran on it
+// when the FlowPin hashes were recorded, so RadixQueue must fire events
+// in exactly its (time, scheduling order) sequence
+// (radix_queue_test.cpp). It is not linked into the library.
 //
-// Concurrency boundary: EventQueue is thread-compatible, not thread-safe
-// — it carries no lock on purpose. Every instance is owned by exactly one
-// simulation, and every simulation is owned by exactly one TaskPool task;
-// parallelism stays *between* queues, never inside one. The
-// `shared-capture` fairswap_lint rule enforces the boundary statically (a
-// queue cannot be ref-captured into a parallel_for lambda without a
-// reasoned allow), and the TSan CI job backstops it dynamically.
+// EventQueue is thread-compatible, not thread-safe: it carries no lock,
+// and every instance is owned by one test.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +13,11 @@
 #include <queue>
 #include <vector>
 
-namespace fairswap::engine {
+#include "engine/sim_time.hpp"
 
-/// Simulated time in abstract ticks.
-using SimTime = std::uint64_t;
+namespace fairswap::net::oracle {
+
+using engine::SimTime;
 
 /// A deterministic discrete-event executor. Events scheduled for the same
 /// time fire in scheduling order (stable via sequence numbers), which keeps
@@ -67,4 +64,4 @@ class EventQueue {
   std::uint64_t next_seq_{0};
 };
 
-}  // namespace fairswap::engine
+}  // namespace fairswap::net::oracle
