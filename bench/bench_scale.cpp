@@ -26,11 +26,12 @@
 // bound — and the sketch fingerprint).
 //
 // Part 5 — scale scenarios: nodes (default 10'000) on a bits (default 20)
-// -bit address space across k in {4, 20}, driven through the parallel
-// multi-seed run_seeds path; prints fairness aggregates with error bars
-// plus the route accounting (delivered / failed / truncated). Each cell
-// additionally runs single-seed with the edge ledger and with the map
-// ledger and cross-checks every ledger observable at scale.
+// -bit address space across k in {4, 20}, each cell one harness::run_plan
+// whose seeds fan out across the worker pool; prints fairness aggregates
+// with error bars plus the route accounting (delivered / failed /
+// truncated). Each cell additionally runs single-seed with the edge
+// ledger and with the map ledger and cross-checks every ledger
+// observable at scale.
 //
 // Outputs: scale_routing.csv, scale_totals.csv, and the machine-readable
 // BENCH_scale.json (schema fairswap.bench_scale.v1 — routing + ledger +
@@ -56,9 +57,10 @@
 #include "common/json.hpp"
 #include "common/stream_stats.hpp"
 #include "common/table.hpp"
-#include "core/multi_run.hpp"
+#include "core/report.hpp"
 #include "core/scenarios.hpp"
 #include "core/simulation.hpp"
+#include "harness/plan.hpp"
 #include "overlay/compiled_router.hpp"
 #include "overlay/forwarding.hpp"
 #include "workload/engine.hpp"
@@ -532,8 +534,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.cfg.get_or("nodes", std::uint64_t{10'000}));
   const auto bits =
       static_cast<int>(args.cfg.get_or("bits", std::uint64_t{20}));
-  const auto seed_count =
-      static_cast<std::size_t>(args.cfg.get_or("seeds", std::uint64_t{3}));
+  const auto seed_count = std::max<std::size_t>(
+      1, static_cast<std::size_t>(args.cfg.get_or("seeds", std::uint64_t{3})));
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   const auto threads = static_cast<std::size_t>(
       args.cfg.get_or("threads", static_cast<std::uint64_t>(hw)));
@@ -635,7 +637,7 @@ int main(int argc, char** argv) {
        wl.default_identical ? "yes" : "NO"});
   std::printf("%s", workload_table.render().c_str());
 
-  // --- Part 5: scale scenarios through the parallel run_seeds path. ---
+  // --- Part 5: scale scenarios, one multi-seed run_plan per cell. ---
   bench::banner("Scale scenarios (" + std::to_string(nodes) + " nodes, " +
                 std::to_string(bits) + "-bit space, " +
                 std::to_string(seed_count) + " seeds x " +
@@ -649,7 +651,7 @@ int main(int argc, char** argv) {
   std::vector<core::ExperimentResult> singles;
   struct CellRow {
     std::string label;
-    core::AggregateResult agg;
+    harness::MetricStats agg;
     std::size_t router_bytes{0};
     double wall_s{0};
     CellLedgerCheck ledger;
@@ -664,9 +666,21 @@ int main(int argc, char** argv) {
                 static_cast<double>(topo.compiled().memory_bytes()) /
                     (1024.0 * 1024.0));
     std::fflush(stdout);
+    harness::ExperimentPlan plan;
+    plan.title = "scale";
+    plan.base = cfg;
+    plan.seeds = seed_count;
+    plan.threads = threads;
+    harness::CollectSink collected;
+    harness::MetricSink* sinks[] = {&collected};
+    std::string error;
     const auto start = std::chrono::steady_clock::now();
-    const auto agg = core::run_seeds(cfg, seed_count, threads);
+    if (!harness::run_plan(plan, sinks, error)) {
+      std::printf("error: %s\n", error.c_str());
+      return 2;
+    }
     const double elapsed = seconds_since(start);
+    const harness::MetricStats& agg = collected.records.front().metrics;
     table.add_row({cfg.label, core::mean_pm_std(agg.gini_f2),
                    core::mean_pm_std(agg.gini_f1),
                    core::mean_pm_std(agg.routing_success),
@@ -797,7 +811,7 @@ int main(int argc, char** argv) {
   core::write_text_file(args.out_dir + "/scale_routing.csv",
                         micro_csv_text.str());
   core::write_text_file(args.out_dir + "/scale_totals.csv",
-                        core::totals_csv(bench::as_ptrs(singles)));
+                        core::totals_csv(singles));
   core::write_text_file(args.out_dir + "/BENCH_scale.json",
                         json_text.str() + "\n");
   std::printf(

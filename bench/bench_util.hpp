@@ -1,23 +1,20 @@
-// Shared helpers for the wall-clock performance benches (bench_scale,
-// bench_multi_run). Both accept "files=<n> seed=<n> out=<dir>" overrides
-// on the command line and write CSV/JSON under <out>/ (default
-// bench_out/). Experiments are fairswap_run scenarios, not benches.
+// Command-line helpers for bench_scale, the wall-clock performance bench.
+// It accepts "files=<n> seed=<n> out=<dir>" overrides on the command line
+// and writes CSV/JSON under <out>/ (default bench_out/). Experiments are
+// fairswap_run scenarios, not benches.
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
-#include "core/experiment.hpp"
-#include "core/report.hpp"
+#include "common/rng.hpp"
 
 namespace fairswap::bench {
 
-/// Command-line settings shared by all harnesses. Carries the parsed
-/// Config so benches read their extra keys from `args.cfg` instead of
-/// re-parsing argv a second time.
+/// Command-line settings. Carries the parsed Config so the bench reads its
+/// extra keys from `args.cfg` instead of re-parsing argv a second time.
 struct BenchArgs {
   Config cfg;
   std::size_t files{10'000};
@@ -38,15 +35,6 @@ struct BenchArgs {
 /// Prints a section header.
 inline void banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-/// Convenience: result pointer view for report helpers.
-inline std::vector<const core::ExperimentResult*> as_ptrs(
-    const std::vector<core::ExperimentResult>& results) {
-  std::vector<const core::ExperimentResult*> ptrs;
-  ptrs.reserve(results.size());
-  for (const auto& r : results) ptrs.push_back(&r);
-  return ptrs;
 }
 
 }  // namespace fairswap::bench

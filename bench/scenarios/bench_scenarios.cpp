@@ -279,33 +279,6 @@ int scenario_churn(ScenarioContext& ctx) {
 // concrete from the *user's* side: larger k does not just spread rewards
 // more fairly (Figs. 5/6), it shortens routes and cuts retrieval latency.
 
-/// Arrival times of a retrieval's messages, newest first, when it is
-/// issued at time 0: the chunk's arrivals back along `path`, then the
-/// request's arrivals out to the storer, down to the issue at 0. A route
-/// of h hops has 2h + 1 of them; the front is the retrieval's latency.
-///
-/// The hop mean is folded in completion order, as the message-level
-/// simulator this scenario replaced folded it, so the printed mean stays
-/// the same where it sits on a rounding tie. That simulator fired
-/// same-time messages in the order their predecessors fired, so its
-/// completion order is the lexicographic order of these vectors.
-std::vector<engine::SimTime> arrivals_newest_first(
-    const net::LatencyModel& links, std::span<const overlay::NodeIndex> path) {
-  const std::size_t hops = path.size() - 1;
-  std::vector<engine::SimTime> at(2 * hops + 1);
-  // The request reaches path[j] at at[2 * hops - j]; at[hops] is the
-  // storer's.
-  for (std::size_t j = 1; j <= hops; ++j) {
-    const std::size_t r = 2 * hops - j;
-    at[r] = at[r + 1] + links.latency(path[j - 1], path[j]);
-  }
-  // The chunk takes the same links back to path[j].
-  for (std::size_t j = 0; j < hops; ++j) {
-    at[j] = 2 * at[hops] - at[2 * hops - j];
-  }
-  return at;
-}
-
 int scenario_latency(ScenarioContext& ctx) {
   std::uint64_t retrievals = 0;
   if (!read_count(ctx, "retrievals", 50'000, retrievals)) return 2;
@@ -326,8 +299,8 @@ int scenario_latency(ScenarioContext& ctx) {
                                    .jitter = 40,  // links up to 50ms
                                    .seed = ctx.seed});
 
-    // Message arrival times of each successful retrieval.
-    std::vector<std::vector<engine::SimTime>> done;
+    std::vector<double> latencies;
+    std::uint64_t hop_sum = 0;
     std::uint64_t messages = 0;
     overlay::Route route;
     Rng rng(ctx.seed + k);
@@ -338,30 +311,30 @@ int scenario_latency(ScenarioContext& ctx) {
           static_cast<AddressValue>(rng.next_below(topo.space().size()))};
       router.route_into(origin, chunk, route);
       messages += 2 * route.hops();
-      if (route.reached_storer) {
-        done.push_back(arrivals_newest_first(links, route.path));
+      if (!route.reached_storer) continue;
+      // The chunk returns over the request's links: twice the path delay.
+      engine::SimTime one_way = 0;
+      for (std::size_t j = 1; j < route.path.size(); ++j) {
+        one_way += links.latency(route.path[j - 1], route.path[j]);
       }
+      latencies.push_back(static_cast<double>(2 * one_way));
+      hop_sum += route.hops();
     }
-    std::sort(done.begin(), done.end());  // completion order
-
-    std::vector<double> latencies;
-    latencies.reserve(done.size());
-    RunningStats hops;
-    for (const auto& at : done) {
-      latencies.push_back(static_cast<double>(at.front()));
-      hops.add(static_cast<double>(at.size() / 2));
-    }
-    const std::uint64_t successes = done.size();
+    const std::uint64_t successes = latencies.size();
+    const double mean_hops =
+        successes == 0 ? 0.0
+                       : static_cast<double>(hop_sum) /
+                             static_cast<double>(successes);
     const Summary s = summarize(std::span<const double>(latencies));
     table.add_row({std::to_string(k),
                    TextTable::num(100.0 * static_cast<double>(successes) /
                                       static_cast<double>(retrievals), 2) + "%",
-                   TextTable::num(hops.mean(), 2), TextTable::num(s.mean, 1),
+                   TextTable::num(mean_hops, 2), TextTable::num(s.mean, 1),
                    TextTable::num(s.median, 0), TextTable::num(s.p90, 0),
                    TextTable::num(s.p99, 0), std::to_string(messages)});
     csv.cells(k,
               static_cast<double>(successes) / static_cast<double>(retrievals),
-              hops.mean(), s.mean, s.median, s.p90, s.p99, messages);
+              mean_hops, s.mean, s.median, s.p90, s.p99, messages);
   }
   print(ctx.os(), "%s", table.render().c_str());
   print(ctx.os(),

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                   .c_str());
 
   if (const auto csv = args.get("csv")) {
-    core::write_text_file(*csv, core::lorenz_csv({&result}, false));
+    core::write_text_file(*csv, core::lorenz_csv(std::span(&result, 1), false));
     std::printf("\nwrote Lorenz CSV to %s\n", csv->c_str());
   }
   return 0;

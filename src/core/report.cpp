@@ -1,6 +1,7 @@
 #include "core/report.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,16 +12,15 @@
 
 namespace fairswap::core {
 
-std::string lorenz_csv(const std::vector<const ExperimentResult*>& results,
+std::string lorenz_csv(std::span<const ExperimentResult> results,
                        bool f1_curve) {
   std::ostringstream out;
   CsvWriter csv(out);
   csv.cells("label", "population_share", "value_share");
-  for (const auto* r : results) {
-    const auto& curve =
-        f1_curve ? r->fairness.lorenz_f1 : r->fairness.lorenz_f2;
+  for (const ExperimentResult& r : results) {
+    const auto& curve = f1_curve ? r.fairness.lorenz_f1 : r.fairness.lorenz_f2;
     for (const auto& p : curve) {
-      csv.cells(r->config.label, p.population_share, p.value_share);
+      csv.cells(r.config.label, p.population_share, p.value_share);
     }
   }
   return out.str();
@@ -37,39 +37,46 @@ std::string per_node_csv(const std::string& label,
   return out.str();
 }
 
-std::string totals_csv(const std::vector<const ExperimentResult*>& results) {
+std::string totals_csv(std::span<const ExperimentResult> results) {
   std::ostringstream out;
   CsvWriter csv(out);
   csv.cells("label", "files", "chunk_requests", "delivered", "refused",
             "failed_routes", "truncated_routes", "local_hits",
             "total_transmissions", "routing_success");
-  for (const auto* r : results) {
-    const auto& t = r->totals;
-    csv.cells(r->config.label, t.files, t.chunk_requests, t.delivered,
+  for (const ExperimentResult& r : results) {
+    const auto& t = r.totals;
+    csv.cells(r.config.label, t.files, t.chunk_requests, t.delivered,
               t.refused, t.failed_routes, t.truncated_routes, t.local_hits,
-              t.total_transmissions, r->routing_success);
+              t.total_transmissions, r.routing_success);
   }
   return out.str();
 }
 
 std::vector<Histogram> served_histograms(
-    const std::vector<const ExperimentResult*>& results, std::size_t bins) {
+    std::span<const ExperimentResult> results, std::size_t bins) {
   std::uint64_t max_served = 0;
-  for (const auto* r : results) {
-    for (const std::uint64_t v : r->served_per_node) {
+  for (const ExperimentResult& r : results) {
+    for (const std::uint64_t v : r.served_per_node) {
       max_served = std::max(max_served, v);
     }
   }
   std::vector<Histogram> out;
   out.reserve(results.size());
-  for (const auto* r : results) {
+  for (const ExperimentResult& r : results) {
     Histogram h(0.0, static_cast<double>(max_served) + 1.0, bins);
-    for (const std::uint64_t v : r->served_per_node) {
+    for (const std::uint64_t v : r.served_per_node) {
       h.add(static_cast<double>(v));
     }
     out.push_back(std::move(h));
   }
   return out;
+}
+
+std::string mean_pm_std(const RunningStats& stats, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f ± %.*f", precision, stats.mean(),
+                precision, stats.stddev());
+  return buf;
 }
 
 std::string summarize_result(const ExperimentResult& r) {

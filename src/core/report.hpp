@@ -2,19 +2,21 @@
 // blocks the benches print, and optionally persist them to disk.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/gini.hpp"
 #include "common/histogram.hpp"
+#include "common/stats.hpp"
 #include "core/experiment.hpp"
 
 namespace fairswap::core {
 
 /// CSV with one labeled Lorenz curve per result:
 /// "label,population_share,value_share".
-[[nodiscard]] std::string lorenz_csv(
-    const std::vector<const ExperimentResult*>& results, bool f1_curve);
+[[nodiscard]] std::string lorenz_csv(std::span<const ExperimentResult> results,
+                                     bool f1_curve);
 
 /// CSV of a per-node series: "label,node,value".
 [[nodiscard]] std::string per_node_csv(
@@ -24,12 +26,16 @@ namespace fairswap::core {
 /// accounting (delivered / refused / failed / truncated) the scale
 /// scenarios monitor.
 [[nodiscard]] std::string totals_csv(
-    const std::vector<const ExperimentResult*>& results);
+    std::span<const ExperimentResult> results);
 
 /// Histogram over served-chunks per node (Fig. 4 panel series) with
 /// `bins` equal-width bins spanning all results so curves are comparable.
 [[nodiscard]] std::vector<Histogram> served_histograms(
-    const std::vector<const ExperimentResult*>& results, std::size_t bins);
+    std::span<const ExperimentResult> results, std::size_t bins);
+
+/// "mean ± stddev" rendering of a multi-seed statistic.
+[[nodiscard]] std::string mean_pm_std(const RunningStats& stats,
+                                      int precision = 4);
 
 /// A one-paragraph text summary of a result (used by examples).
 [[nodiscard]] std::string summarize_result(const ExperimentResult& result);

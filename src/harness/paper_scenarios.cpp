@@ -10,7 +10,6 @@
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "common/token.hpp"
-#include "core/multi_run.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
 #include "harness/plan.hpp"
@@ -19,14 +18,6 @@
 namespace fairswap::harness {
 
 namespace {
-
-std::vector<const core::ExperimentResult*> as_ptrs(
-    const std::vector<core::ExperimentResult>& results) {
-  std::vector<const core::ExperimentResult*> ptrs;
-  ptrs.reserve(results.size());
-  for (const auto& r : results) ptrs.push_back(&r);
-  return ptrs;
-}
 
 // --- fig4 ---------------------------------------------------------------
 //
@@ -48,7 +39,7 @@ int scenario_fig4(ScenarioContext& ctx) {
 
   banner(ctx.os(), "Fig. 4: per-node forwarded-chunk distribution");
   const auto results = run_paper_grid(ctx);
-  const auto histos = core::served_histograms(as_ptrs(results), 40);
+  const auto histos = core::served_histograms(results, 40);
 
   // Panel layout mirrors the paper: left = 20% originators, right = 100%.
   std::ostringstream csv_text;
@@ -140,7 +131,7 @@ int scenario_fig5(ScenarioContext& ctx) {
         results[0].fairness.gini_f2, results[1].fairness.gini_f2);
 
   core::write_text_file(ctx.out_dir + "/fig5_lorenz_f2.csv",
-                        core::lorenz_csv(as_ptrs(results), false));
+                        core::lorenz_csv(results, false));
   print(ctx.os(), "wrote %s/fig5_lorenz_f2.csv\n", ctx.out_dir.c_str());
   return 0;
 }
@@ -190,7 +181,7 @@ int scenario_fig6(ScenarioContext& ctx) {
         results[3].fairness.gini_f1, results[0].fairness.gini_f1);
 
   core::write_text_file(ctx.out_dir + "/fig6_lorenz_f1.csv",
-                        core::lorenz_csv(as_ptrs(results), true));
+                        core::lorenz_csv(results, true));
   print(ctx.os(), "wrote %s/fig6_lorenz_f1.csv\n", ctx.out_dir.c_str());
   return 0;
 }
@@ -468,6 +459,10 @@ int scenario_variance(ScenarioContext& ctx) {
     print(ctx.os(), "error: %s\n", parse_error.c_str());
     return 2;
   }
+  if (seeds == 0) {
+    print(ctx.os(), "error: seeds must be at least 1\n");
+    return 2;
+  }
 
   banner(ctx.os(), "Seed variance across the paper grid (" +
                        std::to_string(seeds) + " seeds)");
@@ -478,22 +473,34 @@ int scenario_variance(ScenarioContext& ctx) {
   csv.cells("label", "gini_f2_mean", "gini_f2_sd", "gini_f1_mean",
             "gini_f1_sd", "avg_forwarded_mean", "avg_forwarded_sd");
 
-  core::AggregateResult k4_20, k20_20;
+  MetricStats k4_20, k20_20;
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     for (const double share : {0.2, 1.0}) {
-      auto cfg = core::paper_config(k, share, ctx.files, ctx.seed);
-      print(ctx.os(), "running %s x %llu seeds...\n", cfg.label.c_str(),
+      // One single-run plan per grid cell: its seeds fan out across the
+      // pool and fold in seed order, bit-identical for any thread count.
+      ExperimentPlan plan;
+      plan.title = "variance";
+      plan.base = core::paper_config(k, share, ctx.files, ctx.seed);
+      plan.seeds = seeds;
+      plan.threads = ctx.threads;
+      const std::string& label = plan.base.label;
+      print(ctx.os(), "running %s x %llu seeds...\n", label.c_str(),
             static_cast<unsigned long long>(seeds));
       ctx.os().flush();
-      // Parallel fan-out over seeds; bit-identical to the serial fold for
-      // any thread count (core/multi_run contract).
-      const auto agg = core::run_seeds(cfg, seeds, ctx.threads);
+      CollectSink collected;
+      MetricSink* sinks[] = {&collected};
+      std::string error;
+      if (!run_plan(plan, sinks, error)) {
+        print(ctx.os(), "error: %s\n", error.c_str());
+        return 2;
+      }
+      const MetricStats& agg = collected.records.front().metrics;
       if (k == 4 && share == 0.2) k4_20 = agg;
       if (k == 20 && share == 0.2) k20_20 = agg;
-      table.add_row({cfg.label, core::mean_pm_std(agg.gini_f2),
+      table.add_row({label, core::mean_pm_std(agg.gini_f2),
                      core::mean_pm_std(agg.gini_f1),
                      core::mean_pm_std(agg.avg_forwarded, 0)});
-      csv.cells(cfg.label, agg.gini_f2.mean(), agg.gini_f2.stddev(),
+      csv.cells(label, agg.gini_f2.mean(), agg.gini_f2.stddev(),
                 agg.gini_f1.mean(), agg.gini_f1.stddev(),
                 agg.avg_forwarded.mean(), agg.avg_forwarded.stddev());
     }

@@ -1,6 +1,5 @@
 #include "harness/plan.hpp"
 
-#include <array>
 #include <optional>
 #include <thread>
 
@@ -26,11 +25,10 @@ std::string assignment_label(
   return label;
 }
 
-/// The per-(run, seed) state run_plan keeps — everything MetricStats
-/// folds plus the sim-plane counter snapshot, nothing per-node. The
-/// scalars must stay in sync with fold_cell/add_cell.
+/// The per-(run, seed) state run_plan keeps: one value per metric plus
+/// the sim-plane counter snapshot, nothing per-node.
 struct Cell {
-  std::array<double, 25> scalars{};
+  Metrics<double> metrics;
   telemetry::CounterBlock counters;
 };
 
@@ -40,61 +38,33 @@ Cell extract(const core::ExperimentResult& r, double final_prevalence,
              double converged_epoch) {
   Cell cell;
   cell.counters = r.counters;
-  cell.scalars = {r.fairness.gini_f2,
-              r.fairness.gini_f1,
-              r.fairness.gini_f1_income,
-              r.avg_forwarded_chunks,
-              r.routing_success,
-              r.total_income,
-              r.outstanding_debt,
-              static_cast<double>(r.settlement_count),
-              static_cast<double>(r.totals.total_transmissions),
-              static_cast<double>(r.totals.delivered),
-              static_cast<double>(r.totals.failed_routes),
-              static_cast<double>(r.totals.truncated_routes),
-              static_cast<double>(r.cache_serves),
-              r.totals.fct_p50,
-              r.totals.fct_p99,
-              r.totals.fct_mean,
-              static_cast<double>(r.totals.flows_timed_out),
-              static_cast<double>(r.totals.saturated_links),
-              r.runtime_seconds,
-              r.hops_p50,
-              r.hops_p99,
-              r.served_p99,
-              r.income_p99,
-              final_prevalence,
-              converged_epoch};
+  Metrics<double>& m = cell.metrics;
+  m.gini_f2 = r.fairness.gini_f2;
+  m.gini_f1 = r.fairness.gini_f1;
+  m.gini_f1_income = r.fairness.gini_f1_income;
+  m.avg_forwarded = r.avg_forwarded_chunks;
+  m.routing_success = r.routing_success;
+  m.total_income = r.total_income;
+  m.outstanding_debt = r.outstanding_debt;
+  m.settlements = static_cast<double>(r.settlement_count);
+  m.total_transmissions = static_cast<double>(r.totals.total_transmissions);
+  m.delivered = static_cast<double>(r.totals.delivered);
+  m.failed_routes = static_cast<double>(r.totals.failed_routes);
+  m.truncated_routes = static_cast<double>(r.totals.truncated_routes);
+  m.cache_serves = static_cast<double>(r.cache_serves);
+  m.fct_p50 = r.totals.fct_p50;
+  m.fct_p99 = r.totals.fct_p99;
+  m.fct_mean = r.totals.fct_mean;
+  m.flows_timed_out = static_cast<double>(r.totals.flows_timed_out);
+  m.saturated_links = static_cast<double>(r.totals.saturated_links);
+  m.runtime_s = r.runtime_seconds;
+  m.hops_p50 = r.hops_p50;
+  m.hops_p99 = r.hops_p99;
+  m.served_p99 = r.served_p99;
+  m.income_p99 = r.income_p99;
+  m.final_prevalence = final_prevalence;
+  m.converged_epoch = converged_epoch;
   return cell;
-}
-
-void fold_cell(MetricStats& stats, const Cell& cell) {
-  const std::array<double, 25>& s = cell.scalars;
-  stats.gini_f2.add(s[0]);
-  stats.gini_f1.add(s[1]);
-  stats.gini_f1_income.add(s[2]);
-  stats.avg_forwarded.add(s[3]);
-  stats.routing_success.add(s[4]);
-  stats.total_income.add(s[5]);
-  stats.outstanding_debt.add(s[6]);
-  stats.settlements.add(s[7]);
-  stats.total_transmissions.add(s[8]);
-  stats.delivered.add(s[9]);
-  stats.failed_routes.add(s[10]);
-  stats.truncated_routes.add(s[11]);
-  stats.cache_serves.add(s[12]);
-  stats.fct_p50.add(s[13]);
-  stats.fct_p99.add(s[14]);
-  stats.fct_mean.add(s[15]);
-  stats.flows_timed_out.add(s[16]);
-  stats.saturated_links.add(s[17]);
-  stats.runtime_s.add(s[18]);
-  stats.hops_p50.add(s[19]);
-  stats.hops_p99.add(s[20]);
-  stats.served_p99.add(s[21]);
-  stats.income_p99.add(s[22]);
-  stats.final_prevalence.add(s[23]);
-  stats.converged_epoch.add(s[24]);
 }
 
 /// One (run, seed) cell. Flat configs run a plain experiment; configs
@@ -409,7 +379,11 @@ bool run_plan(const ExperimentPlan& plan, std::span<MetricSink* const> sinks,
     record.seeds = seeds;
     for (std::size_t si = 0; si < seeds; ++si) {
       const Cell& cell = cells[run.index * seeds + si];
-      fold_cell(record.metrics, cell);
+      visit_metrics(
+          [](const char*, Plane, RunningStats& stats, double value) {
+            stats.add(value);
+          },
+          record.metrics, cell.metrics);
       record.counters.merge(cell.counters);
     }
     for (MetricSink* sink : sinks) sink->record(record);

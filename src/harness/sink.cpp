@@ -1,6 +1,6 @@
 #include "harness/sink.hpp"
 
-#include "core/multi_run.hpp"
+#include "core/report.hpp"
 
 namespace fairswap::harness {
 

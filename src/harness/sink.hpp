@@ -34,81 +34,98 @@ struct PlanSummary {
   std::size_t run_count{0};
 };
 
-/// Per-run aggregates across seeds. One RunningStats per headline metric;
-/// with a single seed the mean is the value and the stddev is 0.
-struct MetricStats {
-  RunningStats gini_f2;
-  RunningStats gini_f1;
-  RunningStats gini_f1_income;
-  RunningStats avg_forwarded;
-  RunningStats routing_success;
-  RunningStats total_income;
-  RunningStats outstanding_debt;
-  RunningStats settlements;
-  RunningStats total_transmissions;
-  RunningStats delivered;
-  RunningStats failed_routes;
-  RunningStats truncated_routes;
-  RunningStats cache_serves;
-  RunningStats fct_p50;
-  RunningStats fct_p99;
-  RunningStats fct_mean;
-  RunningStats flows_timed_out;
-  RunningStats saturated_links;
+/// Which section of the sink schema a metric belongs to. Sim-plane
+/// metrics are part of the bit-identity contract; the wall plane (measured
+/// time) is not.
+enum class Plane { kSim, kWall };
+
+/// The one list of per-run metrics. Calls `fn(name, plane, set.field...)`
+/// once per metric, passing the same field of every `sets` argument (any
+/// Metrics<T>), in the fixed schema order the CSV and JSON sinks emit.
+/// Adding a metric here (and to Metrics) adds it to every sink and to
+/// run_plan's fold. New metrics are appended at the end so existing
+/// column prefixes stay stable for downstream readers.
+template <typename Fn, typename... Sets>
+void visit_metrics(Fn&& fn, Sets&&... sets) {
+  fn("gini_f2", Plane::kSim, sets.gini_f2...);
+  fn("gini_f1", Plane::kSim, sets.gini_f1...);
+  fn("gini_f1_income", Plane::kSim, sets.gini_f1_income...);
+  fn("avg_forwarded", Plane::kSim, sets.avg_forwarded...);
+  fn("routing_success", Plane::kSim, sets.routing_success...);
+  fn("total_income", Plane::kSim, sets.total_income...);
+  fn("outstanding_debt", Plane::kSim, sets.outstanding_debt...);
+  fn("settlements", Plane::kSim, sets.settlements...);
+  fn("total_transmissions", Plane::kSim, sets.total_transmissions...);
+  fn("delivered", Plane::kSim, sets.delivered...);
+  fn("failed_routes", Plane::kSim, sets.failed_routes...);
+  fn("truncated_routes", Plane::kSim, sets.truncated_routes...);
+  fn("cache_serves", Plane::kSim, sets.cache_serves...);
+  fn("fct_p50", Plane::kSim, sets.fct_p50...);
+  fn("fct_p99", Plane::kSim, sets.fct_p99...);
+  fn("fct_mean", Plane::kSim, sets.fct_mean...);
+  fn("flows_timed_out", Plane::kSim, sets.flows_timed_out...);
+  fn("saturated_links", Plane::kSim, sets.saturated_links...);
+  fn("runtime_s", Plane::kWall, sets.runtime_s...);
+  fn("hops_p50", Plane::kSim, sets.hops_p50...);
+  fn("hops_p99", Plane::kSim, sets.hops_p99...);
+  fn("served_p99", Plane::kSim, sets.served_p99...);
+  fn("income_p99", Plane::kSim, sets.income_p99...);
+  fn("final_prevalence", Plane::kSim, sets.final_prevalence...);
+  fn("converged_epoch", Plane::kSim, sets.converged_epoch...);
+}
+
+/// One value of type T per headline metric: a double per (run, seed)
+/// cell inside run_plan, a RunningStats per run across seeds in the
+/// records sinks receive (MetricStats; with a single seed the mean is the
+/// value and the stddev is 0).
+template <typename T>
+struct Metrics {
+  T gini_f2{};
+  T gini_f1{};
+  T gini_f1_income{};
+  T avg_forwarded{};
+  T routing_success{};
+  T total_income{};
+  T outstanding_debt{};
+  T settlements{};
+  T total_transmissions{};
+  T delivered{};
+  T failed_routes{};
+  T truncated_routes{};
+  T cache_serves{};
+  T fct_p50{};
+  T fct_p99{};
+  T fct_mean{};
+  T flows_timed_out{};
+  T saturated_links{};
   /// WALL PLANE — the one timing metric. Telemetry-enabled builds emit
   /// it through for_each_wall (a separate schema section excluded from
   /// the bit-identity contract); OFF builds keep it in for_each at its
   /// historical position so their output is byte-identical to pre-
   /// telemetry releases.
-  RunningStats runtime_s;
+  T runtime_s{};
   // Streaming-sketch percentiles (common/stream_stats); hops_* are 0
   // unless stream_metrics= is on.
-  RunningStats hops_p50;
-  RunningStats hops_p99;
-  RunningStats served_p99;
-  RunningStats income_p99;
+  T hops_p50{};
+  T hops_p99{};
+  T served_p99{};
+  T income_p99{};
   // Agents-aware sweep outputs (epochs= on the sweep path): final
   // free-rider prevalence and the convergence epoch (-1 when the epoch
   // game did not converge; both 0 on flat runs).
-  RunningStats final_prevalence;
-  RunningStats converged_epoch;
+  T final_prevalence{};
+  T converged_epoch{};
 
-  /// Visits every SIM-PLANE metric as (name, stats), in the fixed schema
-  /// order the CSV and JSON sinks emit. Adding a metric here adds it to
-  /// every sink. New metrics are appended at the end so existing column
-  /// prefixes stay stable for downstream readers.
+  /// Visits every SIM-PLANE metric as (name, value) in schema order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    fn("gini_f2", gini_f2);
-    fn("gini_f1", gini_f1);
-    fn("gini_f1_income", gini_f1_income);
-    fn("avg_forwarded", avg_forwarded);
-    fn("routing_success", routing_success);
-    fn("total_income", total_income);
-    fn("outstanding_debt", outstanding_debt);
-    fn("settlements", settlements);
-    fn("total_transmissions", total_transmissions);
-    fn("delivered", delivered);
-    fn("failed_routes", failed_routes);
-    fn("truncated_routes", truncated_routes);
-    fn("cache_serves", cache_serves);
-    fn("fct_p50", fct_p50);
-    fn("fct_p99", fct_p99);
-    fn("fct_mean", fct_mean);
-    fn("flows_timed_out", flows_timed_out);
-    fn("saturated_links", saturated_links);
-    if constexpr (!telemetry::kEnabled) {
-      // Historical mid-list position, kept only when the wall section
-      // does not exist: FAIRSWAP_TELEMETRY=OFF output must stay
-      // byte-identical to pre-telemetry releases.
-      fn("runtime_s", runtime_s);
-    }
-    fn("hops_p50", hops_p50);
-    fn("hops_p99", hops_p99);
-    fn("served_p99", served_p99);
-    fn("income_p99", income_p99);
-    fn("final_prevalence", final_prevalence);
-    fn("converged_epoch", converged_epoch);
+    visit_metrics(
+        [&](const char* name, Plane plane, const T& value) {
+          // OFF builds have no wall section, so runtime_s stays at its
+          // historical mid-list position.
+          if (plane == Plane::kSim || !telemetry::kEnabled) fn(name, value);
+        },
+        *this);
   }
 
   /// Visits the WALL-PLANE metrics (telemetry-enabled builds only) —
@@ -116,13 +133,16 @@ struct MetricStats {
   /// section of their own so consumers can tell the planes apart.
   template <typename Fn>
   void for_each_wall(Fn&& fn) const {
-    if constexpr (telemetry::kEnabled) {
-      fn("runtime_s", runtime_s);
-    } else {
-      static_cast<void>(fn);
-    }
+    visit_metrics(
+        [&](const char* name, Plane plane, const T& value) {
+          if (plane == Plane::kWall && telemetry::kEnabled) fn(name, value);
+        },
+        *this);
   }
 };
+
+/// Per-run aggregates across seeds, folded in seed order.
+using MetricStats = Metrics<RunningStats>;
 
 /// One expanded run's identity plus its folded metrics.
 struct RunRecord {
@@ -192,6 +212,19 @@ class JsonSink final : public MetricSink {
 
  private:
   JsonWriter json_;
+};
+
+/// Keeps the plan summary and every record in memory, for callers that
+/// render their own output from the folded stats (and for tests).
+class CollectSink final : public MetricSink {
+ public:
+  void begin(const PlanSummary& plan) override { summary = plan; }
+  void record(const RunRecord& run) override { records.push_back(run); }
+  void end() override { ended = true; }
+
+  PlanSummary summary;
+  std::vector<RunRecord> records;
+  bool ended{false};
 };
 
 }  // namespace fairswap::harness

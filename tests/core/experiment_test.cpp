@@ -111,20 +111,27 @@ TEST(Report, SummaryMentionsKeyNumbers) {
 
 TEST(Report, LorenzCsvHasHeaderAndRows) {
   const auto result = run_experiment(tiny_config());
-  const auto csv = lorenz_csv({&result}, /*f1_curve=*/false);
+  const auto csv = lorenz_csv(std::span(&result, 1), /*f1_curve=*/false);
   EXPECT_EQ(csv.rfind("label,population_share,value_share", 0), 0u);
   EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 2);
 }
 
 TEST(Report, ServedHistogramsShareBounds) {
-  const auto a = run_experiment(tiny_config());
   auto cfg = tiny_config();
   cfg.seed = 9;
-  const auto b = run_experiment(cfg);
-  const auto histos = served_histograms({&a, &b}, 20);
+  const std::vector<ExperimentResult> results{run_experiment(tiny_config()),
+                                              run_experiment(cfg)};
+  const auto histos = served_histograms(results, 20);
   ASSERT_EQ(histos.size(), 2u);
   EXPECT_DOUBLE_EQ(histos[0].hi(), histos[1].hi());
   EXPECT_EQ(histos[0].total(), 150u);
+}
+
+TEST(MeanPmStd, FormatsMeanAndDeviation) {
+  RunningStats s;
+  s.add(1.0);
+  s.add(3.0);
+  EXPECT_EQ(mean_pm_std(s, 1), "2.0 ± 1.0");
 }
 
 TEST(Report, PerNodeCsvRowPerNode) {

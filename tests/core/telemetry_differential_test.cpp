@@ -34,21 +34,13 @@ ExperimentConfig tiny_base() {
   return cfg;
 }
 
-class CaptureSink final : public harness::MetricSink {
- public:
-  void record(const harness::RunRecord& run) override {
-    records.push_back(run);
-  }
-  std::vector<harness::RunRecord> records;
-};
-
 /// Runs `plan` at every thread count and asserts each run's folded
 /// counter block is bit-equal to the threads=1 reference. Returns the
 /// reference records for flavor-specific assertions.
 std::vector<harness::RunRecord> assert_thread_invariant(
     harness::ExperimentPlan plan) {
   plan.threads = 1;
-  CaptureSink reference;
+  harness::CollectSink reference;
   std::string error;
   {
     harness::MetricSink* sinks[] = {&reference};
@@ -56,7 +48,7 @@ std::vector<harness::RunRecord> assert_thread_invariant(
   }
   for (const std::size_t threads : {2u, 4u, 8u}) {
     plan.threads = threads;
-    CaptureSink sink;
+    harness::CollectSink sink;
     harness::MetricSink* sinks[] = {&sink};
     EXPECT_TRUE(harness::run_plan(plan, sinks, error)) << error;
     EXPECT_EQ(sink.records.size(), reference.records.size());

@@ -21,17 +21,50 @@ core::ExperimentConfig tiny_base() {
   return cfg;
 }
 
-/// Captures records for assertions.
-class CaptureSink final : public MetricSink {
- public:
-  void begin(const PlanSummary& plan) override { summary = plan; }
-  void record(const RunRecord& run) override { records.push_back(run); }
-  void end() override { ended = true; }
-
-  PlanSummary summary;
-  std::vector<RunRecord> records;
-  bool ended{false};
-};
+/// Asserts two run_plan outputs of the same 3-seed plan are bit-identical:
+/// every sim-plane metric folded in the same seed order, and the same
+/// counters.
+void expect_bit_identical(const std::vector<RunRecord>& serial,
+                          const std::vector<RunRecord>& parallel,
+                          std::size_t threads) {
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const RunRecord& a = serial[i];
+    const RunRecord& b = parallel[i];
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.seeds, 3u);
+    // Every metric except runtime_s (measured wall clock) must be
+    // bit-identical: same values folded in the same seed order.
+    std::vector<std::pair<std::string, const RunningStats*>> am, bm;
+    a.metrics.for_each([&](const char* name, const RunningStats& s) {
+      am.emplace_back(name, &s);
+    });
+    b.metrics.for_each([&](const char* name, const RunningStats& s) {
+      bm.emplace_back(name, &s);
+    });
+    ASSERT_EQ(am.size(), bm.size());
+    for (std::size_t m = 0; m < am.size(); ++m) {
+      if constexpr (!telemetry::kEnabled) {
+        // Only OFF builds still carry runtime_s (measured wall clock)
+        // inside the sim-plane list; telemetry builds moved it to the
+        // wall section, so every visited metric is exemption-free.
+        if (am[m].first == "runtime_s") continue;
+      }
+      EXPECT_EQ(am[m].second->mean(), bm[m].second->mean())
+          << a.label << " " << am[m].first << " threads=" << threads;
+      EXPECT_EQ(am[m].second->stddev(), bm[m].second->stddev())
+          << a.label << " " << am[m].first << " threads=" << threads;
+      EXPECT_EQ(am[m].second->count(), 3u);
+    }
+    // Sim-plane counters are part of the same contract: exact integer
+    // equality across thread counts, and actually populated.
+    EXPECT_EQ(a.counters, b.counters) << a.label << " threads=" << threads;
+    if constexpr (telemetry::kEnabled) {
+      EXPECT_GT(a.counters.value(telemetry::Counter::kRouteWalks), 0u);
+      EXPECT_GT(a.counters.value(telemetry::Counter::kDebits), 0u);
+    }
+  }
+}
 
 TEST(Plan, ExpansionOrderIsNestedLoopsLastAxisFastest) {
   ExperimentPlan plan;
@@ -163,7 +196,7 @@ TEST(Plan, AgentsAwareSweepRecordsEquilibriumOutputs) {
   plan.axes = {{"bandwidth_cost", {"0", "100"}}};
   plan.threads = 1;
 
-  CaptureSink sink;
+  CollectSink sink;
   MetricSink* sinks[] = {&sink};
   std::string error;
   ASSERT_TRUE(run_plan(plan, sinks, error, nullptr)) << error;
@@ -185,7 +218,7 @@ TEST(Plan, FlatCellsReportZeroEquilibriumOutputs) {
   ExperimentPlan plan;
   plan.base = tiny_base();
   plan.threads = 1;
-  CaptureSink sink;
+  CollectSink sink;
   MetricSink* sinks[] = {&sink};
   std::string error;
   ASSERT_TRUE(run_plan(plan, sinks, error, nullptr)) << error;
@@ -234,58 +267,26 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCount) {
   plan.axes = {{"k", {"4", "20"}}, {"originators", {"0.5", "1.0"}}};
   plan.seeds = 3;
 
-  CaptureSink serial;
-  CaptureSink parallel;
+  CollectSink serial;
   std::string error;
   plan.threads = 1;
   {
     MetricSink* sinks[] = {&serial};
     ASSERT_TRUE(run_plan(plan, sinks, error)) << error;
   }
-  plan.threads = 4;
-  {
-    MetricSink* sinks[] = {&parallel};
-    ASSERT_TRUE(run_plan(plan, sinks, error)) << error;
-  }
-
   ASSERT_EQ(serial.records.size(), 4u);
-  ASSERT_EQ(parallel.records.size(), 4u);
   EXPECT_TRUE(serial.ended);
-  for (std::size_t i = 0; i < serial.records.size(); ++i) {
-    const RunRecord& a = serial.records[i];
-    const RunRecord& b = parallel.records[i];
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.seeds, 3u);
-    // Every metric except runtime_s (measured wall clock) must be
-    // bit-identical: same values folded in the same seed order.
-    std::vector<std::pair<std::string, const RunningStats*>> am, bm;
-    a.metrics.for_each([&](const char* name, const RunningStats& s) {
-      am.emplace_back(name, &s);
-    });
-    b.metrics.for_each([&](const char* name, const RunningStats& s) {
-      bm.emplace_back(name, &s);
-    });
-    ASSERT_EQ(am.size(), bm.size());
-    for (std::size_t m = 0; m < am.size(); ++m) {
-      if constexpr (!telemetry::kEnabled) {
-        // Only OFF builds still carry runtime_s (measured wall clock)
-        // inside the sim-plane list; telemetry builds moved it to the
-        // wall section, so every visited metric is exemption-free.
-        if (am[m].first == "runtime_s") continue;
-      }
-      EXPECT_EQ(am[m].second->mean(), bm[m].second->mean())
-          << a.label << " " << am[m].first;
-      EXPECT_EQ(am[m].second->stddev(), bm[m].second->stddev())
-          << a.label << " " << am[m].first;
-      EXPECT_EQ(am[m].second->count(), 3u);
+
+  // threads=0 means hardware concurrency.
+  for (const std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
+    plan.threads = threads;
+    CollectSink parallel;
+    {
+      MetricSink* sinks[] = {&parallel};
+      ASSERT_TRUE(run_plan(plan, sinks, error)) << error;
     }
-    // Sim-plane counters are part of the same contract: exact integer
-    // equality across thread counts, and actually populated.
-    EXPECT_EQ(a.counters, b.counters) << a.label;
-    if constexpr (telemetry::kEnabled) {
-      EXPECT_GT(a.counters.value(telemetry::Counter::kRouteWalks), 0u);
-      EXPECT_GT(a.counters.value(telemetry::Counter::kDebits), 0u);
-    }
+    ASSERT_EQ(parallel.records.size(), 4u);
+    expect_bit_identical(serial.records, parallel.records, threads);
   }
 }
 
@@ -301,8 +302,8 @@ TEST(Plan, RunPlanIsBitIdenticalForAnyThreadCountWithDemandProcesses) {
                {"upload_mix", {"0", "0.25"}}};
   plan.seeds = 2;
 
-  CaptureSink serial;
-  CaptureSink parallel;
+  CollectSink serial;
+  CollectSink parallel;
   std::string error;
   plan.threads = 1;
   {
@@ -357,7 +358,7 @@ TEST(Plan, SharedTopologyMatchesPerRunRebuild) {
   plan.base = tiny_base();
   plan.axes = {{"originators", {"0.5", "1.0"}}};
 
-  CaptureSink sink;
+  CollectSink sink;
   std::string error;
   MetricSink* sinks[] = {&sink};
   ASSERT_TRUE(run_plan(plan, sinks, error)) << error;

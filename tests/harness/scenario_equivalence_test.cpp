@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/multi_run.hpp"
 #include "core/report.hpp"
 #include "core/scenarios.hpp"
 #include "harness/scenario.hpp"
@@ -75,13 +75,6 @@ std::vector<core::ExperimentResult> old_run_paper_grid(std::ostream& out,
   return results;
 }
 
-std::vector<const core::ExperimentResult*> as_ptrs(
-    const std::vector<core::ExperimentResult>& results) {
-  std::vector<const core::ExperimentResult*> ptrs;
-  for (const auto& r : results) ptrs.push_back(&r);
-  return ptrs;
-}
-
 TEST(ScenarioEquivalence, Fig4MatchesOldMain) {
   const std::size_t files = 40;
   const std::string dir_new = temp_dir("fig4_new");
@@ -94,7 +87,7 @@ TEST(ScenarioEquivalence, Fig4MatchesOldMain) {
   std::ostringstream out;
   print(out, "\n=== %s ===\n", "Fig. 4: per-node forwarded-chunk distribution");
   const auto results = old_run_paper_grid(out, files, kDefaultSeed);
-  const auto histos = core::served_histograms(as_ptrs(results), 40);
+  const auto histos = core::served_histograms(results, 40);
 
   std::ostringstream csv_text;
   CsvWriter csv(csv_text);
@@ -261,9 +254,10 @@ TEST(ScenarioEquivalence, VarianceMatchesOldMain) {
       run("variance", {"files=" + std::to_string(files),
                        "seeds=" + std::to_string(seeds), "out=" + dir_new});
 
-  // --- Reference: the old bench_variance.cpp main, verbatim (serial
-  // run_seeds; the scenario's parallel fold is bit-identical by the
-  // core/multi_run contract). ---
+  // --- Reference: the old bench_variance.cpp main, with its multi-seed
+  // fan-out written out as a serial loop: one standalone run_experiment
+  // per seed, folded in seed order. This is the oracle for run_plan's
+  // pooled fold (shared topology per seed, thread-count-invariant). ---
   std::ostringstream out;
   print(out, "\n=== %s ===\n",
         ("Seed variance across the paper grid (" + std::to_string(seeds) +
@@ -276,13 +270,25 @@ TEST(ScenarioEquivalence, VarianceMatchesOldMain) {
   csv.cells("label", "gini_f2_mean", "gini_f2_sd", "gini_f1_mean",
             "gini_f1_sd", "avg_forwarded_mean", "avg_forwarded_sd");
 
-  core::AggregateResult k4_20, k20_20;
+  /// The three statistics the scenario prints, per grid cell.
+  struct SerialFold {
+    RunningStats gini_f2, gini_f1, avg_forwarded;
+  };
+  SerialFold k4_20, k20_20;
   for (const std::size_t k : {std::size_t{4}, std::size_t{20}}) {
     for (const double share : {0.2, 1.0}) {
       auto cfg = core::paper_config(k, share, files, kDefaultSeed);
       print(out, "running %s x %llu seeds...\n", cfg.label.c_str(),
             static_cast<unsigned long long>(seeds));
-      const auto agg = core::run_seeds(cfg, seeds);
+      SerialFold agg;
+      for (std::uint64_t i = 0; i < seeds; ++i) {
+        core::ExperimentConfig seeded = cfg;
+        seeded.seed = kDefaultSeed + i;
+        const core::ExperimentResult r = core::run_experiment(seeded);
+        agg.gini_f2.add(r.fairness.gini_f2);
+        agg.gini_f1.add(r.fairness.gini_f1);
+        agg.avg_forwarded.add(r.avg_forwarded_chunks);
+      }
       if (k == 4 && share == 0.2) k4_20 = agg;
       if (k == 20 && share == 0.2) k20_20 = agg;
       table.add_row({cfg.label, core::mean_pm_std(agg.gini_f2),
@@ -408,6 +414,9 @@ TEST(Scenario, ScenarioSpecificKeysAreAcceptedAndValidated) {
   const std::string out = run("variance", {"seeds=abc"}, /*expect_code=*/2);
   EXPECT_NE(out.find("seeds"), std::string::npos);
   EXPECT_NE(out.find("abc"), std::string::npos);
+  // Zero seeds has no statistics to report.
+  const std::string out0 = run("variance", {"seeds=0"}, /*expect_code=*/2);
+  EXPECT_NE(out0.find("seeds must be at least 1"), std::string::npos) << out0;
   // ...while fig4 does not accept seeds=.
   const std::string out2 = run("fig4", {"seeds=3"}, /*expect_code=*/2);
   EXPECT_NE(out2.find("unknown argument 'seeds'"), std::string::npos);

@@ -191,17 +191,18 @@ TEST(FlowEquivalence, CongestionProducesSaturationAndSpreadPercentiles) {
 
 // --- run_plan determinism across thread counts --------------------------
 
-/// Captures every folded metric of every record, bitwise.
-struct CaptureSink final : harness::MetricSink {
+/// Every folded sim-plane metric of every record, bitwise.
+std::vector<std::tuple<std::string, std::string, double, double>> metric_rows(
+    const std::vector<harness::RunRecord>& records) {
   std::vector<std::tuple<std::string, std::string, double, double>> rows;
-
-  void record(const harness::RunRecord& run) override {
+  for (const harness::RunRecord& run : records) {
     run.metrics.for_each([&](const char* name, const RunningStats& s) {
       if (std::string(name) == "runtime_s") return;  // wall clock, not folded
       rows.emplace_back(run.label, name, s.mean(), s.stddev());
     });
   }
-};
+  return rows;
+}
 
 TEST(FlowEquivalence, RunPlanBitIdenticalForAnyThreadCount) {
   harness::ExperimentPlan plan;
@@ -220,11 +221,11 @@ TEST(FlowEquivalence, RunPlanBitIdenticalForAnyThreadCount) {
 
   auto run_with = [&](std::size_t threads) {
     plan.threads = threads;
-    CaptureSink sink;
+    harness::CollectSink sink;
     harness::MetricSink* sinks[] = {&sink};
     std::string error;
     EXPECT_TRUE(harness::run_plan(plan, sinks, error)) << error;
-    return sink.rows;
+    return metric_rows(sink.records);
   };
 
   const auto serial = run_with(1);
