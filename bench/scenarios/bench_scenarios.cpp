@@ -37,14 +37,21 @@ using harness::print;
 using harness::ScenarioContext;
 
 /// Reads a scenario-specific count. A malformed value is reported like a
-/// malformed shared key, and the caller exits 2.
+/// malformed shared key, and the caller exits 2; so is 0, which leaves
+/// every rate and share the scenario reports undefined.
 bool read_count(ScenarioContext& ctx, const char* key, std::uint64_t fallback,
                 std::uint64_t& value) {
   value = ctx.args.get_or(key, fallback);
   const std::string parse_error = ctx.args.last_error();
-  if (parse_error.empty()) return true;
-  print(ctx.os(), "error: %s\n", parse_error.c_str());
-  return false;
+  if (!parse_error.empty()) {
+    print(ctx.os(), "error: %s\n", parse_error.c_str());
+    return false;
+  }
+  if (value == 0) {
+    print(ctx.os(), "error: %s must be at least 1\n", key);
+    return false;
+  }
+  return true;
 }
 
 /// The 1000-node, 16-bit overlay the extensions below run on.

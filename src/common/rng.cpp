@@ -1,9 +1,9 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 namespace fairswap {
 
@@ -67,15 +67,56 @@ std::size_t Rng::index(std::size_t n) noexcept {
 
 std::vector<std::size_t> Rng::sample_without_replacement(
     std::size_t n, std::size_t count) noexcept {
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  // Partial Fisher-Yates over the virtual array idx[x] == x. Only slots a
+  // swap has displaced differ from identity, and there are at most `take`
+  // of them, so they live in an open-addressed table of 2*take..4*take
+  // slots (load <= 1/2): O(take) time and memory however large n is. The
+  // draws and the output are those of the dense shuffle, step for step.
   const std::size_t take = count < n ? count : n;
+  std::vector<std::size_t> out(take);
+  if (take == 0) return out;
+
+  struct Slot {
+    std::size_t key;
+    std::size_t value;
+  };
+  constexpr std::size_t kEmpty = ~std::size_t{0};  // keys are < n
+  constexpr std::size_t kInline = 16;
+  const std::size_t slots = std::bit_ceil(2 * take);
+  const int hash_shift = 64 - std::countr_zero(slots);
+  std::array<Slot, kInline> inline_table;
+  std::vector<Slot> heap_table;
+  Slot* table = inline_table.data();
+  if (slots > kInline) {
+    heap_table.resize(slots);
+    table = heap_table.data();
+  }
+  std::fill_n(table, slots, Slot{kEmpty, 0});
+
+  // The slot holding `key`, or the empty slot where it would go.
+  const auto find = [&](std::size_t key) -> Slot& {
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >>
+        hash_shift);
+    while (table[h].key != kEmpty && table[h].key != key) {
+      h = (h + 1) & (slots - 1);
+    }
+    return table[h];
+  };
+  const auto value_at = [&](std::size_t key) {
+    const Slot& s = find(key);
+    return s.key == kEmpty ? key : s.value;
+  };
+
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(next_below(n - i));
-    std::swap(idx[i], idx[j]);
+    // swap(idx[i], idx[j]); idx[i] is final and never read again.
+    const std::size_t vi = value_at(i);
+    out[i] = value_at(j);
+    Slot& sj = find(j);
+    sj = Slot{j, vi};
   }
-  idx.resize(take);
-  return idx;
+  return out;
 }
 
 Rng Rng::split(std::uint64_t stream) const noexcept {

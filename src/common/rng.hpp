@@ -91,8 +91,10 @@ class Rng {
   }
 
   /// Samples `count` distinct indices from [0, n) without replacement
-  /// (partial Fisher-Yates over an index vector). If count >= n, returns
-  /// all indices in shuffled order.
+  /// (partial Fisher-Yates, drawing next_below(n - i) for step i). If
+  /// count >= n, returns all indices in shuffled order. O(min(count, n))
+  /// time and memory: displaced slots are kept in a small hash table, not
+  /// an n-sized index vector.
   std::vector<std::size_t> sample_without_replacement(
       std::size_t n, std::size_t count) noexcept;
 

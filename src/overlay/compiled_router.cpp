@@ -1,16 +1,69 @@
 #include "overlay/compiled_router.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fairswap::overlay {
 
+namespace {
+
+// Fills storer[base, base + 2^h) — one address block of the trie — with
+// the XOR-closest node of each address. by_addr[lo, hi) is nonempty and
+// lists, in address order, exactly the nodes whose addresses lie inside
+// the block (as (address << 32) | NodeIndex), so they are closer to every
+// address of the block than any node outside it. A block holding one node
+// is that node's throughout. Where one half of a block holds no node, the
+// other half's nodes are compared on the remaining low bits alone, so the
+// empty half is the filled half with its top bit flipped: a copy instead
+// of a trie walk per address. Total work is O(2^bits + n * bits).
+void fill_storers(std::span<const std::uint64_t> by_addr, std::uint32_t lo,
+                  std::uint32_t hi, std::uint64_t base, int h,
+                  NodeIndex* storer) {
+  if (hi - lo == 1) {
+    std::fill_n(storer + base, std::size_t{1} << h,
+                static_cast<NodeIndex>(by_addr[lo]));
+    return;
+  }
+  const std::uint64_t half = std::uint64_t{1} << (h - 1);
+  const auto first = by_addr.begin();
+  const auto below_half = [&](std::uint64_t key) {
+    return (key >> 32) < base + half;
+  };
+  const auto mid = static_cast<std::uint32_t>(
+      std::partition_point(first + lo, first + hi, below_half) - first);
+  if (mid == lo) {
+    fill_storers(by_addr, lo, hi, base + half, h - 1, storer);
+    std::copy_n(storer + base + half, half, storer + base);
+  } else if (mid == hi) {
+    fill_storers(by_addr, lo, hi, base, h - 1, storer);
+    std::copy_n(storer + base, half, storer + base + half);
+  } else {
+    fill_storers(by_addr, lo, mid, base, h - 1, storer);
+    fill_storers(by_addr, mid, hi, base + half, h - 1, storer);
+  }
+}
+
+}  // namespace
+
 CompiledRouter::CompiledRouter(const Topology& topo)
     : space_(topo.space()),
       bits_(topo.space().bits()),
-      node_count_(topo.node_count()),
-      closest_(topo.space(), topo.addresses()) {
+      node_count_(topo.node_count()) {
   node_addr_.reserve(node_count_);
   for (const Address a : topo.addresses()) node_addr_.push_back(a.v);
+
+  if (bits_ <= kDenseStorerBits) {
+    std::vector<std::uint64_t> by_addr(node_count_);
+    for (NodeIndex n = 0; n < node_count_; ++n) {
+      by_addr[n] = (std::uint64_t{node_addr_[n]} << 32) | n;
+    }
+    std::sort(by_addr.begin(), by_addr.end());
+    storer_.resize(std::size_t{1} << bits_);
+    fill_storers(by_addr, 0, static_cast<std::uint32_t>(node_count_), 0,
+                 bits_, storer_.data());
+  } else {
+    closest_.emplace(topo.space(), topo.addresses());
+  }
 
   const std::size_t cells = node_count_ * static_cast<std::size_t>(bits_);
   offsets_.assign(cells + 1, 0);
@@ -27,8 +80,10 @@ CompiledRouter::CompiledRouter(const Topology& topo)
       offsets_[cell] = static_cast<std::uint32_t>(peer_addr_.size());
       for (const Address peer : table.bucket(b)) {
         peer_addr_.push_back(peer.v);
-        const auto idx = topo.index_of(peer);
-        peer_idx_.push_back(idx ? *idx : kForeignPeer);
+        // A member address is its own storer; an injected foreign one is
+        // not, whichever node stores it.
+        const NodeIndex idx = storer_of(peer);
+        peer_idx_.push_back(node_addr_[idx] == peer.v ? idx : kForeignPeer);
       }
     }
     max_slab = std::max(max_slab, peer_addr_.size() - slab_begin);
@@ -51,15 +106,6 @@ CompiledRouter::CompiledRouter(const Topology& topo)
       for (std::uint32_t i = slab_begin; i < slab_end; ++i) {
         peer_packed_[i] = (peer_addr_[i] << shift_) | (i - slab_begin);
       }
-    }
-  }
-
-  if (bits_ <= kDenseStorerBits) {
-    const std::size_t span = std::size_t{1} << bits_;
-    storer_.resize(span);
-    for (std::size_t a = 0; a < span; ++a) {
-      storer_[a] = static_cast<NodeIndex>(
-          closest_.closest_index(Address{static_cast<AddressValue>(a)}));
     }
   }
 }
@@ -200,7 +246,8 @@ std::size_t CompiledRouter::memory_bytes() const noexcept {
          peer_packed_.size() * sizeof(std::uint32_t) +
          peer_addr_.size() * sizeof(AddressValue) +
          peer_idx_.size() * sizeof(NodeIndex) +
-         storer_.size() * sizeof(NodeIndex) + closest_.memory_bytes();
+         storer_.size() * sizeof(NodeIndex) +
+         (closest_ ? closest_->memory_bytes() : 0);
 }
 
 }  // namespace fairswap::overlay

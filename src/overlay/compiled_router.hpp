@@ -16,7 +16,9 @@
 //    length itself;
 //  * a dense storer table `storer_[address]` answering "which node stores
 //    this chunk" with a single load (built for address spaces up to
-//    kDenseStorerBits bits; wider spaces fall back to the trie);
+//    kDenseStorerBits bits by one sweep over the address-sorted nodes that
+//    copies every half-block without nodes from its filled twin; wider
+//    spaces fall back to a ClosestNodeIndex trie);
 //  * a batched walker advancing several routes in lockstep so their
 //    independent per-hop loads overlap — one file download routes all of
 //    its chunks as one batch.
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,8 +56,10 @@ inline constexpr NodeIndex kNoNextHop = 0xFFFFFFFFu;
 class CompiledRouter {
  public:
   /// Address spaces at most this wide get the dense per-address storer
-  /// table (2^bits entries); wider spaces answer storer_of via the trie.
-  static constexpr int kDenseStorerBits = 22;
+  /// table (2^bits entries, 64 MB at 24 bits); wider spaces answer
+  /// storer_of via the trie. At 2^20 nodes on 24 bits the trie would be
+  /// larger than the table and cost 24 dependent loads per lookup.
+  static constexpr int kDenseStorerBits = 24;
 
   explicit CompiledRouter(const Topology& topo);
 
@@ -90,7 +95,7 @@ class CompiledRouter {
   /// The node storing content at `target` (globally XOR-closest node).
   [[nodiscard]] NodeIndex storer_of(Address target) const noexcept {
     if (!storer_.empty()) return storer_[target.v];
-    return static_cast<NodeIndex>(closest_.closest_index(target));
+    return static_cast<NodeIndex>(closest_->closest_index(target));
   }
 
   /// Greedy forwarding walk, bit-identical to ForwardingRouter::route.
@@ -121,7 +126,8 @@ class CompiledRouter {
   [[nodiscard]] bool packed() const noexcept { return shift_ > 0; }
 
   /// Total bytes held by the compiled arrays (CSR slabs, packed peers,
-  /// storer table, closest-node trie) — the memory cost of the precompute.
+  /// storer table or, for wide spaces, the closest-node trie) — the memory
+  /// cost of the precompute.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   // --- Edge arena introspection (consumed by accounting::EdgeLedger) ---
@@ -170,7 +176,7 @@ class CompiledRouter {
   std::vector<AddressValue> peer_addr_;   ///< plain addresses (generic path)
   std::vector<NodeIndex> peer_idx_;       ///< parallel NodeIndex (resolution)
   std::vector<NodeIndex> storer_;         ///< 2^bits, or empty (wide space)
-  ClosestNodeIndex closest_;              ///< storer fallback for wide spaces
+  std::optional<ClosestNodeIndex> closest_;  ///< wide spaces only
 };
 
 inline CompiledRouter::Hop CompiledRouter::next_hop_edge(

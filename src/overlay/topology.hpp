@@ -6,6 +6,20 @@
 // tables static for the entire experiment. The same topology object can be
 // shared by many simulations ("Our tool allows to use the same overlay for
 // multiple simulations").
+//
+// Build cost. A node's bucket-b candidates are the nodes that share its top
+// b address bits and differ in bit b; the definition lists them in
+// NodeIndex order and samples positions of that list with
+// Rng::sample_without_replacement. Topology::build never forms the lists.
+// It sorts the nodes by address, so every prefix group (and so every
+// candidate pool) is one contiguous range, and keeps each group's members
+// in NodeIndex order per prefix length, so a sampled position is one load.
+// That is O(n * bits) time and memory for the pools (transient, freed
+// before build returns), O(bits) per node to locate its pools, and
+// O(k * bits) per node to sample them: O(n * bits * k) in all, where the
+// definition's all-pairs scan is O(n^2). The tables, their order and every
+// RNG draw are those of the all-pairs scan, which tests/overlay keeps as
+// the differential oracle (reference_topology.cpp).
 #pragma once
 
 #include <cstdint>
@@ -81,8 +95,9 @@ struct TopologyConfig {
                          const TopologyConfig&) = default;
 };
 
-/// An immutable overlay: addresses, routing tables, and the closest-node
-/// index. Value type; cheap to share by const reference.
+/// An immutable overlay: addresses, routing tables, and their compiled
+/// form (which also answers closest_node). Value type; cheap to share by
+/// const reference.
 class Topology {
  public:
   /// Builds a topology. All randomness (addresses, bucket sampling) is
@@ -108,7 +123,8 @@ class Topology {
     return addresses_;
   }
 
-  /// The node that stores content at `target` (globally XOR-closest node).
+  /// The node that stores content at `target` (globally XOR-closest node),
+  /// answered by compiled().storer_of.
   [[nodiscard]] NodeIndex closest_node(Address target) const noexcept;
 
   /// The compiled (precomputed) routing hot path over these tables. Built
@@ -149,7 +165,6 @@ class Topology {
   // fairswap-lint: allow(unordered-container) -- address->index lookup for
   // index_of() only, never enumerated (node order lives in addresses_).
   std::unordered_map<Address, NodeIndex> index_;
-  std::optional<ClosestNodeIndex> closest_;
   /// Shared, immutable after build; copies of a Topology share it.
   std::shared_ptr<const CompiledRouter> compiled_;
 };

@@ -151,6 +151,40 @@ TEST(Rng, SampleWithoutReplacementIsUnbiasedish) {
   }
 }
 
+/// The dense partial Fisher-Yates the sparse implementation replaced:
+/// shuffles a full index vector, O(n) time and memory per call.
+std::vector<std::size_t> dense_sample_without_replacement(Rng& rng,
+                                                          std::size_t n,
+                                                          std::size_t count) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  const std::size_t take = count < n ? count : n;
+  for (std::size_t i = 0; i < take; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.next_below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(take);
+  return idx;
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesDenseFisherYates) {
+  for (const std::size_t n : {0, 1, 5, 100, 10000}) {
+    const std::size_t below = n == 0 ? 0 : n - 1;
+    const std::vector<std::size_t> counts{0, 1, 40, below, n, n + 5};
+    for (const std::size_t count : counts) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng sparse(seed);
+        Rng dense(seed);
+        EXPECT_EQ(sparse.sample_without_replacement(n, count),
+                  dense_sample_without_replacement(dense, n, count))
+            << "n=" << n << " count=" << count << " seed=" << seed;
+        EXPECT_EQ(sparse.next(), dense.next())
+            << "n=" << n << " count=" << count << " seed=" << seed;
+      }
+    }
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStreams) {
   Rng parent(99);
   Rng a = parent.split(0);

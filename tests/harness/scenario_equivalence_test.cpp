@@ -417,6 +417,16 @@ TEST(Scenario, ScenarioSpecificKeysAreAcceptedAndValidated) {
   // Zero seeds has no statistics to report.
   const std::string out0 = run("variance", {"seeds=0"}, /*expect_code=*/2);
   EXPECT_NE(out0.find("seeds must be at least 1"), std::string::npos) << out0;
+  // Nor do zero retrievals or lookups: their shares would be 0/0.
+  const std::string latency0 =
+      run("latency", {"retrievals=0"}, /*expect_code=*/2);
+  EXPECT_NE(latency0.find("retrievals must be at least 1"), std::string::npos)
+      << latency0;
+  EXPECT_EQ(latency0.find("nan"), std::string::npos) << latency0;
+  const std::string privacy0 = run("privacy", {"lookups=0"}, /*expect_code=*/2);
+  EXPECT_NE(privacy0.find("lookups must be at least 1"), std::string::npos)
+      << privacy0;
+  EXPECT_EQ(privacy0.find("nan"), std::string::npos) << privacy0;
   // ...while fig4 does not accept seeds=.
   const std::string out2 = run("fig4", {"seeds=3"}, /*expect_code=*/2);
   EXPECT_NE(out2.find("unknown argument 'seeds'"), std::string::npos);
